@@ -1,12 +1,7 @@
 """Tree-pair elements of Thompson's group F, their unoriented links, exact
 Kauffman brackets, and annular-strand-diagram conjugacy testing."""
 
-from .bracket import (
-    CrossingLimitError,
-    equivalent_up_to_units,
-    kauffman_bracket,
-    kernel_name,
-)
+from .bracket import StateLimitError, equivalent_up_to_units, kauffman_bracket
 from .conway import MIRROR, ConwayCode, continued_fraction, two_bridge_diagram
 from .families import (
     Hsequence,

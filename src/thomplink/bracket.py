@@ -1,14 +1,17 @@
-"""The Kauffman bracket by exact state sum, and the unit comparator.
+"""The Kauffman bracket by frontier contraction, and the unit comparator.
 
 The bracket is characterized by
 
     <U> = 1,   <L_X> = A <L_0> + A^-1 <L_oo>,   <L u U> = (-A^2 - A^-2) <L>.
 
-Every crossing is resolved both ways, so evaluation is exact but costs
-2**c states; the hot tally loop lives in a compiled extension when one was
-built, with a pure-Python kernel as the import-time fallback.  Crossings
-are resolved in index order and loops counted with union-find over arc
-labels.
+Crossings are added one at a time, the next being the one with the most
+arcs already open.  After each step the smoothed part of the diagram is a
+set of closed loops plus strands joining pairs of open arc ends, so a
+state is that matching of open arcs.  Each state carries the sum, over
+the smoothings that reach it, of A^(A-smoothings - B-smoothings) times
+delta per closed loop, an integer Laurent polynomial.  States with equal
+matchings merge, which is what keeps the cost polynomial for diagrams of
+bounded width (Bar-Natan's local contraction, applied to the bracket).
 
 Bracket values of diagrams of one link differ by units -A^(+-3) (framing)
 and whole factors delta per split trivial component, so link comparison
@@ -22,70 +25,92 @@ from __future__ import annotations
 from .laurent import DELTA, ONE, LaurentPolynomial
 from .links import LinkDiagram
 
-try:  # pragma: no cover - exercised indirectly by the benchmark
-    from . import _bracket_core as _kernel
-except ImportError:  # pragma: no cover
-    from . import _bracket_py as _kernel
-
 __all__ = [
-    "CrossingLimitError",
+    "StateLimitError",
     "kauffman_bracket",
-    "bracket_from_counts",
     "equivalent_up_to_units",
-    "kernel_name",
 ]
 
-DEFAULT_CROSSING_LIMIT = 24
+DEFAULT_STATE_LIMIT = 100_000
+
+# Smoothing of a crossing (a0, a1, a2, a3): the A-smoothing joins slots
+# 0-1 and 2-3 and contributes A, the B-smoothing joins 0-3 and 1-2 and
+# contributes A^-1.
+_SMOOTHINGS = ((1, ((0, 1), (2, 3))), (-1, ((0, 3), (1, 2))))
+# A^weight * delta^loops, for the at most two loops one smoothing closes
+_FACTORS = {(w, k): (DELTA**k).shifted(w) for w in (1, -1) for k in range(3)}
 
 
-class CrossingLimitError(ValueError):
-    """Raised when a diagram exceeds the configured state-sum bound."""
+class StateLimitError(ValueError):
+    """Raised when the contraction holds more states than the configured bound."""
 
 
-def kernel_name() -> str:
-    return _kernel.KERNEL
-
-
-def _flatten(d: LinkDiagram) -> tuple[list[int], int]:
-    table: dict[object, int] = {}
-    flat: list[int] = []
-    for c in d.crossings:
-        for a in c:
-            flat.append(table.setdefault(a, len(table)))
-    return flat, len(table)
-
-
-def bracket_from_counts(counts, c: int, free_loops: int) -> LaurentPolynomial:
-    """Assemble the polynomial from per-(B-smoothings, loops) state tallies."""
-    poly = LaurentPolynomial()
-    for b, row in enumerate(counts):
-        for loops, n in enumerate(row):
-            if not n:
-                continue
-            total_loops = loops + free_loops
-            if total_loops < 1:
-                raise ValueError("a smoothed state must contain at least one loop")
-            term = (DELTA ** (total_loops - 1)).shifted(c - 2 * b) * n
-            poly = poly + term
-    return poly
+def _join(partner: dict[int, int], u: int, v: int) -> int:
+    """Join strand ends u and v; returns 1 if that closed a loop."""
+    if partner[u] == v:
+        del partner[u], partner[v]
+        return 1
+    a, b = partner.pop(u), partner.pop(v)
+    partner[a] = b
+    partner[b] = a
+    return 0
 
 
 def kauffman_bracket(
-    d: LinkDiagram, max_crossings: int = DEFAULT_CROSSING_LIMIT
+    d: LinkDiagram, max_states: int = DEFAULT_STATE_LIMIT
 ) -> LaurentPolynomial:
     """Exact bracket of a diagram, normalized so one free loop gives 1."""
-    c = d.crossing_count
-    if c > max_crossings:
-        raise CrossingLimitError(
-            f"diagram has {c} crossings, exceeding the bound {max_crossings}"
-        )
-    if c == 0:
+    if d.crossing_count == 0:
         if d.free_loops == 0:
             raise ValueError("the empty diagram has no bracket normalization")
         return DELTA ** (d.free_loops - 1)
-    flat, n_arcs = _flatten(d)
-    counts = _kernel.state_counts(flat, n_arcs)
-    return bracket_from_counts(counts, c, d.free_loops)
+    crossings = d.relabeled().crossings
+    remaining = list(range(len(crossings)))
+    open_arcs: set[int] = set()
+    frontier: tuple[int, ...] = ()
+    # matching of the frontier arcs (as a tuple aligned with it) -> its sum
+    states: dict[tuple[int, ...], LaurentPolynomial] = {(): ONE}
+    while remaining:
+        # next: the crossing with the most open arcs, the earliest on ties
+        ci = max(remaining, key=lambda i: sum(a in open_arcs for a in crossings[i]))
+        remaining.remove(ci)
+        x = crossings[ci]
+        # Name the strand end at each slot: an open arc keeps its label;
+        # otherwise slot i is named ~i and linked either to the slot at the
+        # other end of its arc (a kink) or to the arc, which opens here.
+        names = list(x)
+        links: dict[int, int] = {}
+        for i, a in enumerate(x):
+            if a in open_arcs:
+                continue
+            names[i] = ~i
+            if x.count(a) == 1:
+                links[~i], links[a] = a, ~i
+            elif x.index(a) < i:
+                j = x.index(a)
+                links[~i], links[~j] = ~j, ~i
+        open_arcs ^= {a for a in x if x.count(a) == 1}
+        new_frontier = tuple(sorted(open_arcs))
+        # The last crossing closes at least one loop in every state; leaving
+        # that loop out of the factor gives the normalization <U> = 1.
+        last = not remaining
+        new_states: dict[tuple[int, ...], LaurentPolynomial] = {}
+        for key, poly in states.items():
+            for weight, ((s, t), (u, v)) in _SMOOTHINGS:
+                partner = dict(zip(frontier, key))
+                partner.update(links)
+                closed = _join(partner, names[s], names[t])
+                closed += _join(partner, names[u], names[v])
+                term = poly * _FACTORS[weight, closed - last]
+                out = tuple(partner[a] for a in new_frontier)
+                new_states[out] = new_states[out] + term if out in new_states else term
+        if len(new_states) > max_states:
+            raise StateLimitError(
+                f"bracket contraction reached {len(new_states)} states, "
+                f"exceeding the bound {max_states}"
+            )
+        states, frontier = new_states, new_frontier
+    return states[()] * DELTA ** d.free_loops
 
 
 def _unit_equal(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:

@@ -10,7 +10,7 @@ experiment thm1 --n K [--seed W]    one link, distinct conjugacy classes
 experiment thm2 --gen x0|x1 --n K   2-bridge links from one conjugacy class
 oracle two-bridge CODE              4-plat oracle for a Conway code
 
-Exit status: 0 on success, 1 on domain errors (bad words, crossing bounds),
+Exit status: 0 on success, 1 on domain errors (bad words, bracket state bounds),
 2 on usage errors.  Output is deterministic for fixed arguments; JSON
 payloads carry a schema version.
 """
@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .bracket import CrossingLimitError, equivalent_up_to_units, kauffman_bracket
+from .bracket import DEFAULT_STATE_LIMIT, StateLimitError, equivalent_up_to_units, kauffman_bracket
 from .conway import ConwayCode, continued_fraction, two_bridge_diagram
 from .families import conjugate, element_a, g_element, h_element, h_sequence
 from .laurent import DELTA
@@ -52,7 +52,7 @@ def _parse_element(text: str) -> TreePair:
         if text.startswith("{"):
             return TreePair.from_json(text)
         return from_word(Word.parse(text))
-    except (WordSyntaxError, ValueError, KeyError) as exc:
+    except (WordSyntaxError, ValueError, KeyError, TypeError) as exc:
         raise DomainError(f"cannot parse element {text!r}: {exc}") from exc
 
 
@@ -144,10 +144,7 @@ def _cmd_bracket(args) -> int:
     d = link_of(p, args.route)
     if args.simplify:
         d = simplify(d).diagram
-    try:
-        value = kauffman_bracket(d, args.max_crossings)
-    except CrossingLimitError as exc:
-        raise DomainError(str(exc)) from exc
+    value = kauffman_bracket(d, args.max_states)
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, "bracket": str(value), "route": args.route}))
     else:
@@ -173,10 +170,7 @@ def _cmd_experiment_thm1(args) -> int:
     brackets = []
     for i, h in enumerate(seq.elements, 1):
         rep = simplify(link_of(h, "direct"))
-        try:
-            br = kauffman_bracket(rep.diagram, args.max_crossings)
-        except CrossingLimitError as exc:
-            raise DomainError(str(exc)) from exc
+        br = kauffman_bracket(rep.diagram, args.max_states)
         r = reduced_annular_of(h)
         rows.append(
             {
@@ -223,12 +217,9 @@ def _cmd_experiment_thm2(args) -> int:
         base = g_element(n) if gen_index == 0 else h_element(n)
         c = conjugate(base, x)
         rep = simplify(link_of(c, "direct"))
-        try:
-            br = kauffman_bracket(rep.diagram, args.max_crossings)
-        except CrossingLimitError as exc:
-            raise DomainError(str(exc)) from exc
+        br = kauffman_bracket(rep.diagram, args.max_states)
         code = ConwayCode([1] * (2 * n))
-        oracle = kauffman_bracket(two_bridge_diagram(code))
+        oracle = kauffman_bracket(two_bridge_diagram(code, 2 * n))
         if gen_index == 0:
             match = equivalent_up_to_units(br, oracle, 4)
             target = str(code)
@@ -262,7 +253,7 @@ def _cmd_oracle(args) -> int:
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
     p, q = continued_fraction(code)
-    br = kauffman_bracket(d, args.max_crossings)
+    br = kauffman_bracket(d)
     if args.format == "json":
         payload = _link_payload(d)
         payload.update({"fraction": [p, q], "bracket": str(br), "code": str(code)})
@@ -280,6 +271,25 @@ def _cmd_oracle(args) -> int:
 
 def _add_format(p, choices=("text", "json")) -> None:
     p.add_argument("--format", choices=choices, default="text")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _add_state_bound(p) -> None:
+    p.add_argument(
+        "--max-states",
+        type=_positive_int,
+        default=DEFAULT_STATE_LIMIT,
+        help="bound on the bracket contraction's states (default: %(default)s)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("element")
     pb.add_argument("--route", choices=("tait", "direct"), default="direct")
     pb.add_argument("--no-simplify", dest="simplify", action="store_false")
-    pb.add_argument("--max-crossings", type=int, default=24)
+    _add_state_bound(pb)
     _add_format(pb)
     pb.set_defaults(func=_cmd_bracket)
 
@@ -319,15 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
     px = sub.add_parser("experiment", help="theorem-reproduction experiments")
     xsub = px.add_subparsers(dest="experiment", required=True)
     p1 = xsub.add_parser("thm1", help="one link from distinct conjugacy classes")
-    p1.add_argument("--n", type=int, default=5)
+    p1.add_argument("--n", type=_positive_int, default=5)
     p1.add_argument("--seed", help="seed element word (default: the 5-leaf wrapper)")
-    p1.add_argument("--max-crossings", type=int, default=26)
+    _add_state_bound(p1)
     _add_format(p1)
     p1.set_defaults(func=_cmd_experiment_thm1)
     p2 = xsub.add_parser("thm2", help="2-bridge links from one conjugacy class")
     p2.add_argument("--gen", choices=("x0", "x1"), required=True)
-    p2.add_argument("--n", type=int, default=3)
-    p2.add_argument("--max-crossings", type=int, default=26)
+    p2.add_argument("--n", type=_positive_int, default=3)
+    _add_state_bound(p2)
     _add_format(p2)
     p2.set_defaults(func=_cmd_experiment_thm2)
 
@@ -351,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"element {args.verb} takes {need} operand(s)")
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, StateLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .links import LinkDiagram
+from .links import LinkDiagram, _splice
 
 __all__ = ["ConwayCode", "continued_fraction", "two_bridge_diagram", "MIRROR"]
 
@@ -101,17 +101,8 @@ class _Tangle:
         self.sw, self.se = sw2, se2
 
     def numerator_closure(self) -> LinkDiagram:
-        joins = ((self.nw, self.ne), (self.sw, self.se))
         crossings = [list(c) for c in self.crossings]
-        loops = 0
-        for u, v in joins:
-            if u == v:
-                loops += 1
-                continue
-            for c in crossings:
-                for s in range(4):
-                    if c[s] == v:
-                        c[s] = u
+        loops = _splice(crossings, self.nw, self.ne) + _splice(crossings, self.sw, self.se)
         if MIRROR:
             crossings = [(c[1], c[2], c[3], c[0]) for c in crossings]
         return LinkDiagram(crossings, loops)

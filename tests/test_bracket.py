@@ -5,17 +5,26 @@ import pytest
 from thomplink import (
     DELTA,
     ONE,
-    CrossingLimitError,
+    ConwayCode,
     LaurentPolynomial,
     LinkDiagram,
+    StateLimitError,
+    TreePair,
+    conjugate,
+    direct_link,
     disjoint_union,
     equivalent_up_to_units,
+    g_element,
+    h_element,
     kauffman_bracket,
+    medial_link,
     mirror_diagram,
+    simplify,
+    tait_graph,
+    two_bridge_diagram,
 )
-from thomplink import bracket as bracket_mod
-from thomplink import _bracket_py
-from util import random_diagram
+from thomplink.trees import random_tree
+from util import random_diagram, X0, X1
 
 # Two-crossing clasp: closure of a two-strand braid with two equal crossings.
 HOPF = LinkDiagram([(2, 1, 3, 4), (4, 3, 1, 2)])
@@ -25,6 +34,7 @@ def brute_force_bracket(d: LinkDiagram) -> LaurentPolynomial:
     """Independent oracle: explicit state enumeration with cycle tracing."""
     c = len(d.crossings)
     total = LaurentPolynomial()
+    counts = {}
     for state in range(2 ** c):
         joins = []
         b = 0
@@ -50,8 +60,9 @@ def brute_force_bracket(d: LinkDiagram) -> LaurentPolynomial:
                     continue
                 seen.add(v)
                 stack.extend(neighbours[v])
-        term = (DELTA ** (loops + d.free_loops - 1)).shifted(c - 2 * b)
-        total = total + term
+        counts[b, loops] = counts.get((b, loops), 0) + 1
+    for (b, loops), n in counts.items():
+        total = total + (DELTA ** (loops + d.free_loops - 1)).shifted(c - 2 * b) * n
     return total
 
 
@@ -78,43 +89,87 @@ def test_single_signed_arc_is_a_kink():
     assert kauffman_bracket(minus) == LaurentPolynomial({-3: -1})
 
 
-def test_kernel_matches_brute_force_fuzz():
-    rng = Random(40)
-    for _ in range(25):
-        d = random_diagram(rng, 6)
-        assert kauffman_bracket(d, 26) == brute_force_bracket(d)
+def with_kink(rng: Random, d: LinkDiagram) -> LinkDiagram:
+    """Cut one arc of ``d`` and join the cut through a new crossing that
+    holds a fresh arc at two of its slots."""
+    crossings = [list(c) for c in d.relabeled().crossings]
+    top = max(max(c) for c in crossings)
+    cut, loop = top + 1, top + 2
+    c = rng.choice(crossings)
+    slot = rng.randrange(4)
+    arc, c[slot] = c[slot], cut
+    slots = [arc, cut, loop, loop]
+    rng.shuffle(slots)
+    crossings.insert(rng.randrange(len(crossings) + 1), slots)
+    return LinkDiagram(crossings, d.free_loops)
 
 
-def test_python_and_active_kernels_agree():
-    rng = Random(41)
-    for _ in range(10):
-        d = random_diagram(rng, 6)
-        flat, n_arcs = bracket_mod._flatten(d)
-        assert bracket_mod._kernel.state_counts(flat, n_arcs) == _bracket_py.state_counts(
-            flat, n_arcs
-        )
+def unreduced_pair(rng: Random, leaves: int) -> TreePair:
+    return TreePair(random_tree(leaves, rng), random_tree(leaves, rng))
+
+
+def fuzz_diagrams(rng: Random, count: int):
+    """Direct, kinked, split and mirrored medial diagrams of up to 14
+    crossings, some of the medial ones simplified, each with 0-2 extra free
+    loops."""
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            d = direct_link(unreduced_pair(rng, rng.randint(2, 8)))
+        elif kind == 1:
+            d = direct_link(unreduced_pair(rng, rng.randint(2, 5)))
+            while d.crossing_count < 14 and rng.random() < 0.7:
+                d = with_kink(rng, d)
+        elif kind == 2:
+            d1 = direct_link(unreduced_pair(rng, rng.randint(2, 3)))
+            d = disjoint_union(d1, direct_link(unreduced_pair(rng, rng.randint(2, 4))))
+        else:
+            d = medial_link(tait_graph(unreduced_pair(rng, rng.randint(2, 7))))
+            if rng.random() < 0.3:
+                d = simplify(d).diagram
+            d = mirror_diagram(d)
+        yield LinkDiagram(d.crossings, d.free_loops + rng.randrange(3))
+
+
+def test_contraction_matches_brute_force_fuzz():
+    sizes = []
+    for d in fuzz_diagrams(Random(40), 200):
+        assert kauffman_bracket(d) == brute_force_bracket(d)
+        sizes.append(d.crossing_count)
+    assert max(sizes) == 14
 
 
 def test_mirror_symmetry_fuzz():
     rng = Random(42)
     for _ in range(20):
         d = random_diagram(rng, 7)
-        assert kauffman_bracket(mirror_diagram(d), 26) == kauffman_bracket(d, 26).mirrored()
+        assert kauffman_bracket(mirror_diagram(d)) == kauffman_bracket(d).mirrored()
 
 
 def test_disjoint_union_multiplies_by_delta():
     rng = Random(43)
     for _ in range(10):
         d1, d2 = random_diagram(rng, 5), random_diagram(rng, 5)
-        b = kauffman_bracket(disjoint_union(d1, d2), 26)
-        assert b == kauffman_bracket(d1, 26) * kauffman_bracket(d2, 26) * DELTA
+        b = kauffman_bracket(disjoint_union(d1, d2))
+        assert b == kauffman_bracket(d1) * kauffman_bracket(d2) * DELTA
 
 
-def test_crossing_bound():
-    rng = Random(44)
-    d = random_diagram(rng, 9)
-    with pytest.raises(CrossingLimitError):
-        kauffman_bracket(d, max_crossings=d.crossing_count - 1)
+def test_state_bound():
+    # the first Hopf crossing leaves two matchings of its four open arcs
+    with pytest.raises(StateLimitError):
+        kauffman_bracket(HOPF, max_states=1)
+    assert kauffman_bracket(HOPF, max_states=2) == LaurentPolynomial({4: -1, -4: -1})
+    with pytest.raises(StateLimitError):
+        kauffman_bracket(random_diagram(Random(44), 9), max_states=1)
+
+
+@pytest.mark.parametrize("x, base, unknots", [(X0, g_element, 0), (X1, h_element, 1)])
+def test_two_bridge_families_at_38_crossings(x, base, unknots):
+    n = 10
+    d = simplify(direct_link(conjugate(base(n), x))).diagram
+    assert d.crossing_count == 38
+    oracle = kauffman_bracket(two_bridge_diagram(ConwayCode([1] * (2 * n)), 2 * n))
+    assert equivalent_up_to_units(kauffman_bracket(d), oracle * DELTA**unknots, 0)
 
 
 def test_comparator_basics():
@@ -135,7 +190,7 @@ def test_comparator_basics():
 def test_comparator_reflexive_symmetric_fuzz():
     rng = Random(45)
     for _ in range(15):
-        b = kauffman_bracket(random_diagram(rng, 6), 26)
+        b = kauffman_bracket(random_diagram(rng, 6))
         assert equivalent_up_to_units(b, b, 0)
         shifted = b.shifted(6) * -1
         assert equivalent_up_to_units(b, shifted, 0)

@@ -1,10 +1,20 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import thomplink
 from thomplink.cli import main
+
+
+def run_child(argv, **kwargs):
+    """Run the CLI in a new interpreter that imports this copy of the package
+    through an absolute path, so it works from any working directory."""
+    env = dict(os.environ, PYTHONPATH=str(Path(thomplink.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "thomplink", *argv], capture_output=True, env=env, **kwargs)
 
 
 def run(capsys, *argv):
@@ -85,8 +95,23 @@ def test_oracle_two_bridge(capsys):
 
 def test_domain_errors_exit_1(capsys):
     assert run(capsys, "element", "parse", "xq")[0] == 1
-    assert run(capsys, "bracket", "x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12", "--no-simplify", "--max-crossings", "8")[0] == 1
+    assert run(capsys, "bracket", "x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12", "--no-simplify", "--max-states", "1")[0] == 1
     assert run(capsys, "oracle", "two-bridge", "0,1")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["experiment", "thm1", "--n", "0"], 2),
+        (["element", "parse", '{"source":5,"target":"0"}'], 1),
+        (["experiment", "thm2", "--gen", "x0", "--n", "-1"], 2),
+        (["bracket", "x0", "--max-states", "-1"], 2),
+    ],
+)
+def test_bad_input_fails_without_traceback(argv, status):
+    proc = run_child(argv, text=True)
+    assert proc.returncode == status
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_usage_errors_exit_2():
@@ -99,7 +124,7 @@ def test_usage_errors_exit_2():
 
 
 def test_byte_identical_runs():
-    cmd = [sys.executable, "-m", "thomplink", "experiment", "thm2", "--gen", "x0", "--n", "2", "--format", "json"]
-    a = subprocess.run(cmd, capture_output=True, cwd="/", check=True)
-    b = subprocess.run(cmd, capture_output=True, cwd="/", check=True)
+    argv = ["experiment", "thm2", "--gen", "x0", "--n", "2", "--format", "json"]
+    a = run_child(argv, cwd="/", check=True)
+    b = run_child(argv, cwd="/", check=True)
     assert a.stdout == b.stdout and a.stdout

@@ -79,8 +79,8 @@ def test_simplify_preserves_bracket_class():
         p = random_element(rng, 8)
         d = direct_link(p)
         rep = simplify(d)
-        b_before = kauffman_bracket(d, 26)
-        b_after = kauffman_bracket(rep.diagram, 26)
+        b_before = kauffman_bracket(d)
+        b_after = kauffman_bracket(rep.diagram)
         assert equivalent_up_to_units(b_before, b_after, 4)
 
 
@@ -88,8 +88,8 @@ def test_route_equivalence_fuzz():
     rng = Random(32)
     for _ in range(30):
         p = random_element(rng, 10)
-        b1 = kauffman_bracket(simplify(medial_link(tait_graph(p))).diagram, 26)
-        b2 = kauffman_bracket(simplify(direct_link(p)).diagram, 26)
+        b1 = kauffman_bracket(simplify(medial_link(tait_graph(p))).diagram)
+        b2 = kauffman_bracket(simplify(direct_link(p)).diagram)
         assert equivalent_up_to_units(b1, b2, 4), p
 
 
@@ -98,8 +98,8 @@ def test_expansion_adds_only_trivial_components():
     for _ in range(20):
         p = random_element(rng, 7)
         q = expand(p, rng.randrange(p.leaf_count))
-        b1 = kauffman_bracket(simplify(direct_link(p)).diagram, 26)
-        b2 = kauffman_bracket(simplify(direct_link(q)).diagram, 26)
+        b1 = kauffman_bracket(simplify(direct_link(p)).diagram)
+        b2 = kauffman_bracket(simplify(direct_link(q)).diagram)
         assert equivalent_up_to_units(b1, b2, 4)
 
 
@@ -108,8 +108,8 @@ def test_grafting_x0_preserves_link():
     for _ in range(10):
         p = random_element(rng, 7)
         q = graft_element(p, rng.randrange(p.leaf_count), X0)
-        b1 = kauffman_bracket(simplify(direct_link(p)).diagram, 26)
-        b2 = kauffman_bracket(simplify(direct_link(q)).diagram, 26)
+        b1 = kauffman_bracket(simplify(direct_link(p)).diagram)
+        b2 = kauffman_bracket(simplify(direct_link(q)).diagram)
         assert equivalent_up_to_units(b1, b2, 4)
 
 
