@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     osub = po.add_subparsers(dest="oracle", required=True)
     ob = osub.add_parser("two-bridge", help="4-plat for a Conway code like 1,1,1,1")
     ob.add_argument("code")
-    ob.add_argument("--max-crossings", type=int, default=24)
+    ob.add_argument("--max-crossings", type=_positive_int, default=24)
     _add_format(ob, ("text", "json", "pd"))
     ob.set_defaults(func=_cmd_oracle)
 

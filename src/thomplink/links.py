@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pairs import TreePair
-from .tait import LOWER, UPPER, TaitGraph, tait_graph
-from .trees import BinaryTree
+from .tait import UPPER, TaitGraph, tait_graph
+from .trees import node_table
 
 __all__ = [
     "LinkDiagram",
@@ -119,23 +119,23 @@ def medial_link(t: TaitGraph) -> LinkDiagram:
     # starting just above the +x direction.  Upper arcs leave vertically,
     # nesting resolves ties: at a left endpoint inner arcs sit clockwise of
     # outer ones, at a right endpoint the opposite; the lower half mirrors.
-    rotations: list[list[tuple[int, int]]] = [[] for _ in range(t.vertex_count)]
+    # ul/ur: upper arcs leaving v rightward/leftward, keyed by their far
+    # end; dr/dl: the same below, in reverse.  One pass buckets them.
+    ul = [[] for _ in range(t.vertex_count)]
+    ur = [[] for _ in range(t.vertex_count)]
+    dr = [[] for _ in range(t.vertex_count)]
+    dl = [[] for _ in range(t.vertex_count)]
+    for i, e in enumerate(edges):
+        at_left, at_right = (ul, ur) if e.half == UPPER else (dl, dr)
+        at_left[e.left].append((e.right, i))
+        at_right[e.right].append((e.left, i))
+    rotations: list[list[tuple[int, int]]] = []
     for v in range(t.vertex_count):
-        ul = sorted((e.right, i) for i, e in enumerate(edges) if e.half == UPPER and e.left == v)
-        ur = sorted((e.left, i) for i, e in enumerate(edges) if e.half == UPPER and e.right == v)
-        dr = sorted(
-            ((e.left, i) for i, e in enumerate(edges) if e.half == LOWER and e.right == v),
-            reverse=True,
-        )
-        dl = sorted(
-            ((e.right, i) for i, e in enumerate(edges) if e.half == LOWER and e.left == v),
-            reverse=True,
-        )
-        rotations[v] = (
-            [(i, _L) for _, i in ul]
-            + [(i, _R) for _, i in ur]
-            + [(i, _R) for _, i in dr]
-            + [(i, _L) for _, i in dl]
+        rotations.append(
+            [(i, _L) for _, i in sorted(ul[v])]
+            + [(i, _R) for _, i in sorted(ur[v])]
+            + [(i, _R) for _, i in sorted(dr[v], reverse=True)]
+            + [(i, _L) for _, i in sorted(dl[v], reverse=True)]
         )
 
     # Corner strands: between cyclically consecutive ends h, h' the medial
@@ -173,36 +173,6 @@ def medial_link(t: TaitGraph) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 
 
-class _TreeNode:
-    __slots__ = ("crossing", "gap", "parent", "side")
-
-    def __init__(self, crossing, gap, parent, side):
-        self.crossing = crossing  # crossing index
-        self.gap = gap  # leaf gap index owned by this node
-        self.parent = parent  # _TreeNode or None for the root
-        self.side = side  # "L" / "R" as a child of parent
-
-
-def _index_tree(tree: BinaryTree, first_crossing: int):
-    """Number internal nodes; return (nodes, leaf_parents, gap_owner)."""
-    nodes: list[_TreeNode] = []
-    leaf_parent: list[tuple[_TreeNode, str]] = [None] * tree.leaf_count
-    gap_owner: dict[int, _TreeNode] = {}
-
-    def walk(t: BinaryTree, base: int, parent, side):
-        if t.is_leaf:
-            leaf_parent[base] = (parent, side)
-            return
-        n = _TreeNode(first_crossing + len(nodes), base + t.left.leaf_count, parent, side)
-        nodes.append(n)
-        gap_owner[n.gap] = n
-        walk(t.left, base, n, "L")
-        walk(t.right, base + t.left.leaf_count, n, "R")
-
-    walk(tree, 0, None, None)
-    return nodes, leaf_parent, gap_owner
-
-
 # Crossing slot layout (counterclockwise, understrand at slots 0 and 2):
 # source-tree node: (parent edge, left child, gap edge, right child)
 # target-tree node: (parent edge, right child, gap edge, left child)
@@ -215,38 +185,33 @@ def direct_link(p: TreePair) -> LinkDiagram:
     n = p.leaf_count
     if n == 1:
         return LinkDiagram((), free_loops=1)
-    up_nodes, up_leaf, up_gap = _index_tree(p.source, 0)
-    lo_nodes, lo_leaf, lo_gap = _index_tree(p.target, len(up_nodes))
-    crossings: list[list] = [[None] * 4 for _ in range(len(up_nodes) + len(lo_nodes))]
-
+    # crossings: the source tree's nodes in preorder, then the target's
+    up_nodes, up_leaf = node_table(p.source)
+    lo_nodes, lo_leaf = node_table(p.target)
+    shift = len(up_nodes)
+    crossings: list[list] = [[None] * 4 for _ in range(shift + len(lo_nodes))]
     arc = 0
-
-    def put(cross: int, slot: int, a: int) -> None:
-        crossings[cross][slot] = a
-
     # leaf strands
-    for k in range(n):
-        un, uside = up_leaf[k]
-        ln, lside = lo_leaf[k]
-        put(un.crossing, _SRC_SLOT[uside], arc)
-        put(ln.crossing, _TGT_SLOT[lside], arc)
+    for (ui, uside), (li, lside) in zip(up_leaf, lo_leaf):
+        crossings[ui][_SRC_SLOT[uside]] = arc
+        crossings[shift + li][_TGT_SLOT[lside]] = arc
         arc += 1
     # internal tree edges
-    for nodes, slots in ((up_nodes, _SRC_SLOT), (lo_nodes, _TGT_SLOT)):
-        for nd in nodes:
-            if nd.parent is not None:
-                put(nd.crossing, slots["parent"], arc)
-                put(nd.parent.crossing, slots[nd.side], arc)
-                arc += 1
+    for nodes, base, slots in ((up_nodes, 0, _SRC_SLOT), (lo_nodes, shift, _TGT_SLOT)):
+        for i, nd in enumerate(nodes[1:], base + 1):
+            crossings[i][slots["parent"]] = arc
+            crossings[base + nd.parent][slots[nd.side]] = arc
+            arc += 1
     # one connecting edge through each interior gap
+    up_gap = {nd.gap: i for i, nd in enumerate(up_nodes)}
+    lo_gap = {nd.gap: shift + i for i, nd in enumerate(lo_nodes)}
     for gap in range(1, n):
-        put(up_gap[gap].crossing, _SRC_SLOT["gap"], arc)
-        put(lo_gap[gap].crossing, _TGT_SLOT["gap"], arc)
+        crossings[up_gap[gap]][_SRC_SLOT["gap"]] = arc
+        crossings[lo_gap[gap]][_TGT_SLOT["gap"]] = arc
         arc += 1
     # the closure edge around the outside joins the two roots
-    put(up_nodes[0].crossing, _SRC_SLOT["parent"], arc)
-    put(lo_nodes[0].crossing, _TGT_SLOT["parent"], arc)
-    arc += 1
+    crossings[0][_SRC_SLOT["parent"]] = arc
+    crossings[shift][_TGT_SLOT["parent"]] = arc
 
     return LinkDiagram(crossings, free_loops=0)
 

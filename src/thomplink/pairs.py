@@ -114,10 +114,8 @@ def make_generator(i: int) -> TreePair:
     """The generator ``x_i`` as a reduced tree pair with ``i + 3`` leaves."""
     if i < 0:
         raise ValueError("generator index must be non-negative")
-    source = BinaryTree(caret(), LEAF)
-    for _ in range(i):
-        source = BinaryTree(LEAF, source)
-    return TreePair(source, right_comb(i + 3))
+    # i right-comb steps down to the block ((..).)
+    return TreePair(tree_from_bits("10" * i + "11000"), right_comb(i + 3))
 
 
 def expand(p: TreePair, leaf_index: int) -> TreePair:

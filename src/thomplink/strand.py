@@ -44,6 +44,7 @@ from functools import cmp_to_key
 from random import Random
 
 from .pairs import TreePair
+from .trees import node_table
 
 __all__ = [
     "StrandDiagram",
@@ -384,22 +385,23 @@ class _Net:
     def zero_winding_acyclic(self) -> bool:
         """Every directed cycle winds positively iff the subgraph of edges
         that never cross the cut is acyclic."""
+        # Kahn's peel: repeatedly drop a vertex with no incoming edge left
         adj: dict[int, list[int]] = {v: [] for v in self.kind}
+        indegree = dict.fromkeys(self.kind, 0)
         for rec in self.edges.values():
             if not rec[4]:
                 adj[rec[0]].append(rec[2])
-        state: dict[int, int] = {}
-
-        def visit(v: int) -> bool:
-            state[v] = 1
+                indegree[rec[2]] += 1
+        ready = [v for v, k in indegree.items() if k == 0]
+        peeled = 0
+        while ready:
+            v = ready.pop()
+            peeled += 1
             for w in adj[v]:
-                s = state.get(w, 0)
-                if s == 1 or (s == 0 and not visit(w)):
-                    return False
-            state[v] = 2
-            return True
-
-        return all(state.get(v, 0) == 2 or visit(v) for v in adj)
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    ready.append(w)
+        return peeled == len(adj)
 
     # -- canonical form -------------------------------------------------------
 
@@ -592,59 +594,22 @@ def strand_from_pair(p: TreePair) -> StrandDiagram:
         net.add_edge(source, "out", sink, "in")
         return StrandDiagram(net, source, sink)
 
-    def build(tree, kind):
-        vids = {}
-
-        def walk(t, path):
-            if t.is_leaf:
-                return
-            vids[path] = net.add_vertex(kind)
-            walk(t.left, path + "0")
-            walk(t.right, path + "1")
-
-        walk(tree, "")
-        return vids
-
-    up = build(p.source, SPLIT)
-    lo = build(p.target, MERGE)
-    net.add_edge(source, "out", up[""], "in")
-    net.add_edge(lo[""], "out", sink, "in")
-
-    def leaf_attachments(tree, vids):
-        # (vertex, slot) owning each leaf strand, in leaf order
-        out = []
-
-        def walk(t, path):
-            for child, side in ((t.left, "L"), (t.right, "R")):
-                cpath = path + ("0" if side == "L" else "1")
-                if child.is_leaf:
-                    out.append((vids[path], side))
-                else:
-                    walk(child, cpath)
-
-        walk(tree, "")
-        return out
-
+    # vertices: the source tree's nodes in preorder as splits, then the
+    # target tree's as merges
+    up_nodes, up_leaf = node_table(p.source)
+    lo_nodes, lo_leaf = node_table(p.target)
+    up = [net.add_vertex(SPLIT) for _ in up_nodes]
+    lo = [net.add_vertex(MERGE) for _ in lo_nodes]
+    net.add_edge(source, "out", up[0], "in")
+    net.add_edge(lo[0], "out", sink, "in")
     # internal tree edges
-    def wire(tree, vids, is_split):
-        def walk(t, path):
-            for child, side in ((t.left, "L"), (t.right, "R")):
-                cpath = path + ("0" if side == "L" else "1")
-                if not child.is_leaf:
-                    if is_split:
-                        net.add_edge(vids[path], side, vids[cpath], "in")
-                    else:
-                        net.add_edge(vids[cpath], "out", vids[path], side)
-                    walk(child, cpath)
-
-        walk(tree, "")
-
-    wire(p.source, up, True)
-    wire(p.target, lo, False)
-    for (uv, uslot), (lv, lslot) in zip(
-        leaf_attachments(p.source, up), leaf_attachments(p.target, lo)
-    ):
-        net.add_edge(uv, uslot, lv, lslot)
+    for i, nd in enumerate(up_nodes[1:], 1):
+        net.add_edge(up[nd.parent], nd.side, up[i], "in")
+    for i, nd in enumerate(lo_nodes[1:], 1):
+        net.add_edge(lo[i], "out", lo[nd.parent], nd.side)
+    # leaf strands
+    for (ui, uside), (li, lside) in zip(up_leaf, lo_leaf):
+        net.add_edge(up[ui], uside, lo[li], lside)
     return StrandDiagram(net, source, sink)
 
 

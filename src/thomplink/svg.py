@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .pairs import TreePair
 from .tait import UPPER, TaitGraph
-from .trees import BinaryTree
+from .trees import BinaryTree, node_table
 
 __all__ = ["tree_pair_svg", "tait_graph_svg", "direct_link_svg"]
 
@@ -12,24 +12,36 @@ _SCALE = 40
 _HEADER = '<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}" width="{w}" height="{h}">'
 
 
-def _tree_lines(tree: BinaryTree, flip: bool, out: list[str]) -> None:
-    sign = -1 if flip else 1
+def _tree_layout(tree: BinaryTree, flip: bool, out: list[str]) -> tuple[list, list]:
+    """Draw ``tree`` above the leaf line (below it if ``flip``); returns its
+    node table and the (x, y) of each node.
 
-    def pos(t: BinaryTree, base: int) -> tuple[float, float]:
-        if t.is_leaf:
-            return (base * _SCALE, 0.0)
-        lx, ly = pos(t.left, base)
-        rx, ry = pos(t.right, base + t.left.leaf_count)
+    A node sits above the midpoint of its children, one step beyond the
+    farther of the two.  Nodes are drawn in postorder, each after its
+    subtrees, as a line to the left child and then one to the right child.
+    """
+    sign = -1 if flip else 1
+    nodes, _ = node_table(tree)
+    pos: list[tuple[float, float]] = [(0.0, 0.0)] * len(nodes)
+
+    def child(i: int, first: int, last: int) -> tuple[float, float]:
+        # the child of node i spanning leaves first..last-1, a leaf or node
+        return (first * _SCALE, 0.0) if last - first == 1 else pos[i]
+
+    # postorder: a node closes after every node below it
+    for i in sorted(range(len(nodes)), key=lambda i: (nodes[i].end, -i)):
+        nd = nodes[i]
+        lx, ly = child(i + 1, nd.first, nd.gap)
+        rx, ry = child(i + nd.gap - nd.first, nd.gap, nd.end)
         x = (lx + rx) / 2
         y = sign * (min(ly * sign, ry * sign) - _SCALE)
+        pos[i] = (x, y)
         for cx, cy in ((lx, ly), (rx, ry)):
             out.append(
                 f'<line x1="{x:.1f}" y1="{y:.1f}" x2="{cx:.1f}" y2="{cy:.1f}" '
                 'stroke="black" stroke-width="2"/>'
             )
-        return (x, y)
-
-    pos(tree, 0)
+    return nodes, pos
 
 
 def _wrap(body: list[str], x0: float, y0: float, x1: float, y1: float) -> str:
@@ -41,8 +53,8 @@ def _wrap(body: list[str], x0: float, y0: float, x1: float, y1: float) -> str:
 
 def tree_pair_svg(p: TreePair) -> str:
     body: list[str] = []
-    _tree_lines(p.source, False, body)
-    _tree_lines(p.target, True, body)
+    _tree_layout(p.source, False, body)
+    _tree_layout(p.target, True, body)
     n = p.leaf_count
     body.append(
         f'<line x1="{-_SCALE / 2}" y1="0" x2="{(n - 0.5) * _SCALE:.1f}" y2="0" '
@@ -79,59 +91,24 @@ def direct_link_svg(p: TreePair) -> str:
     """Tree diagram closure with connecting edges; understrand gaps at nodes."""
     body: list[str] = []
     n = p.leaf_count
-    positions: dict[tuple[bool, str], tuple[float, float]] = {}
-
-    def layout(tree: BinaryTree, flip: bool) -> None:
-        sign = -1 if flip else 1
-
-        def pos(t: BinaryTree, base: int, path: str) -> tuple[float, float]:
-            if t.is_leaf:
-                return (base * _SCALE, 0.0)
-            lx, ly = pos(t.left, base, path + "0")
-            rx, ry = pos(t.right, base + t.left.leaf_count, path + "1")
-            x = (lx + rx) / 2
-            y = sign * (min(ly * sign, ry * sign) - _SCALE)
-            positions[(flip, path)] = (x, y)
-            for cx, cy in ((lx, ly), (rx, ry)):
-                body.append(
-                    f'<line x1="{x:.1f}" y1="{y:.1f}" x2="{cx:.1f}" y2="{cy:.1f}" '
-                    'stroke="black" stroke-width="2"/>'
-                )
-            return (x, y)
-
-        pos(tree, 0, "")
-
     if n == 1:
         body.append(f'<circle cx="0" cy="0" r="{_SCALE}" fill="none" stroke="black" stroke-width="2"/>')
         return _wrap(body, -_SCALE, -_SCALE, _SCALE, _SCALE)
 
-    layout(p.source, False)
-    layout(p.target, True)
-
-    def gap_owner(tree: BinaryTree) -> dict[int, str]:
-        owners: dict[int, str] = {}
-
-        def walk(t: BinaryTree, base: int, path: str) -> None:
-            if t.is_leaf:
-                return
-            owners[base + t.left.leaf_count] = path
-            walk(t.left, base, path + "0")
-            walk(t.right, base + t.left.leaf_count, path + "1")
-
-        walk(tree, 0, "")
-        return owners
-
-    up_gap, lo_gap = gap_owner(p.source), gap_owner(p.target)
+    up_nodes, up_pos = _tree_layout(p.source, False, body)
+    lo_nodes, lo_pos = _tree_layout(p.target, True, body)
+    up_gap = {nd.gap: xy for nd, xy in zip(up_nodes, up_pos)}
+    lo_gap = {nd.gap: xy for nd, xy in zip(lo_nodes, lo_pos)}
     for gap in range(1, n):
         x = (gap - 0.5) * _SCALE
-        ux, uy = positions[(False, up_gap[gap])]
-        lx, ly = positions[(True, lo_gap[gap])]
+        ux, uy = up_gap[gap]
+        lx, ly = lo_gap[gap]
         body.append(
             f'<path d="M {ux:.1f} {uy:.1f} Q {x:.1f} 0 {lx:.1f} {ly:.1f}" '
             'fill="none" stroke="green" stroke-width="1.5"/>'
         )
-    rx_up = positions[(False, "")]
-    rx_lo = positions[(True, "")]
+    rx_up = up_pos[0]
+    rx_lo = lo_pos[0]
     left = -1.2 * _SCALE
     body.append(
         f'<path d="M {rx_up[0]:.1f} {rx_up[1]:.1f} C {left:.1f} {rx_up[1]:.1f} '

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .pairs import TreePair
-from .trees import BinaryTree
+from .trees import BinaryTree, node_table
 
 __all__ = ["TaitEdge", "TaitGraph", "tait_graph"]
 
@@ -53,13 +53,21 @@ class TaitGraph:
             if e.sign != (1 if e.half == UPPER else -1):
                 raise ValueError(f"sign does not match half plane: {e}")
         for half in (UPPER, LOWER):
-            spans = [(e.left, e.right) for e in self.edges if e.half == half]
-            for i, (a, b) in enumerate(spans):
-                for c, d in spans[i + 1 :]:
-                    if a < c < b < d or c < a < d < b:
-                        raise ValueError(
-                            f"overlapping arcs ({a},{b}) and ({c},{d}) in half {half}"
-                        )
+            # Sorted by left end, outer arcs first, the arcs that contain the
+            # current point form a stack of nested spans; an arc that starts
+            # inside the top span and ends beyond it overlaps it properly.
+            spans = sorted((e.left, -e.right) for e in self.edges if e.half == half)
+            stack: list[tuple[int, int]] = []
+            for c, neg_d in spans:
+                d = -neg_d
+                while stack and stack[-1][1] <= c:
+                    stack.pop()
+                if stack and stack[-1][1] < d:
+                    a, b = stack[-1]
+                    raise ValueError(
+                        f"overlapping arcs ({a},{b}) and ({c},{d}) in half {half}"
+                    )
+                stack.append((c, d))
 
     def upper_edges(self) -> list[TaitEdge]:
         return [e for e in self.edges if e.half == UPPER]
@@ -95,18 +103,7 @@ def _edge_key(e: TaitEdge):
 
 def _tree_arcs(tree: BinaryTree, half: str) -> list[TaitEdge]:
     sign = 1 if half == UPPER else -1
-    arcs: list[TaitEdge] = []
-
-    def walk(t: BinaryTree, base: int) -> None:
-        if t.is_leaf:
-            return
-        gap = base + t.left.leaf_count  # vertex between the two child subtrees
-        arcs.append(TaitEdge(base, gap, half, sign))
-        walk(t.left, base)
-        walk(t.right, gap)
-
-    walk(tree, 0)
-    return arcs
+    return [TaitEdge(nd.first, nd.gap, half, sign) for nd in node_table(tree)[0]]
 
 
 def tait_graph(p: TreePair) -> TaitGraph:

@@ -1,11 +1,17 @@
-"""Rooted finite binary trees with a stable preorder bitstring encoding.
+"""Rooted finite binary trees stored as their preorder bitstrings.
 
 A tree is either a leaf or an internal node with exactly two children.
-Trees are immutable; the preorder serialization writes ``1`` for a node
-followed by the encodings of its children and ``0`` for a leaf, so a tree
-with ``n`` leaves becomes a string of ``2n - 1`` bits.  The bitstring is
-total-order comparable and round-trips exactly, which makes it suitable
-for golden files and JSON payloads.
+The preorder serialization writes ``1`` for a node followed by the
+encodings of its children and ``0`` for a leaf, so a tree with ``n``
+leaves becomes a string of ``2n - 1`` bits.  A tree *is* that validated
+string: every operation below is a loop or a string operation over it, so
+any depth works.  The bitstring is total-order comparable and round-trips
+exactly, which makes it suitable for golden files and JSON payloads.
+
+Most operations read ``bits.split("0")``: its ``k``-th entry is the run of
+``1`` bits just before leaf ``k``, which is the chain of left-child edges
+above that leaf.  A caret (a node with two leaf children) is exactly the
+substring ``100``: a run ending in ``1`` followed by an empty run.
 """
 
 from __future__ import annotations
@@ -15,11 +21,12 @@ from random import Random
 __all__ = [
     "BinaryTree",
     "LEAF",
-    "node",
+    "TreeNode",
     "caret",
     "right_comb",
     "is_right_comb",
     "tree_from_bits",
+    "node_table",
     "graft",
     "graft_all",
     "split_along",
@@ -34,23 +41,21 @@ __all__ = [
 class BinaryTree:
     """Immutable rooted binary tree; leaves carry no payload."""
 
-    __slots__ = ("left", "right", "leaf_count", "bits")
+    __slots__ = ("bits", "leaf_count")
 
     def __init__(self, left: "BinaryTree | None" = None, right: "BinaryTree | None" = None):
         if (left is None) != (right is None):
             raise ValueError("an internal node needs exactly two children")
-        self.left = left
-        self.right = right
         if left is None:
-            self.leaf_count = 1
             self.bits = "0"
+            self.leaf_count = 1
         else:
-            self.leaf_count = left.leaf_count + right.leaf_count
             self.bits = "1" + left.bits + right.bits
+            self.leaf_count = left.leaf_count + right.leaf_count
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None
+        return self.leaf_count == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BinaryTree) and self.bits == other.bits
@@ -62,129 +67,184 @@ class BinaryTree:
         return f"BinaryTree({self.bits!r})"
 
 
+def _tree(bits: str) -> BinaryTree:
+    """Wrap a bitstring already known to be a valid tree."""
+    t = BinaryTree.__new__(BinaryTree)
+    t.bits = bits
+    t.leaf_count = (len(bits) + 1) // 2
+    return t
+
+
+def _subtree_end(bits: str, i: int) -> int:
+    """Index just past the subtree whose encoding starts at ``bits[i]``."""
+    need = 1  # subtrees still to read
+    while need:
+        need += 1 if bits[i] == "1" else -1
+        i += 1
+    return i
+
+
 LEAF = BinaryTree()
 
 
-def node(left: BinaryTree, right: BinaryTree) -> BinaryTree:
-    return BinaryTree(left, right)
-
-
 def caret() -> BinaryTree:
-    return BinaryTree(LEAF, LEAF)
+    return _tree("100")
 
 
 def right_comb(n: int) -> BinaryTree:
     """The right comb with ``n`` leaves (every left child a leaf)."""
     if n < 1:
         raise ValueError("a tree has at least one leaf")
-    t = LEAF
-    for _ in range(n - 1):
-        t = BinaryTree(LEAF, t)
-    return t
+    return _tree("10" * (n - 1) + "0")
 
 
 def is_right_comb(t: BinaryTree) -> bool:
-    while not t.is_leaf:
-        if not t.left.is_leaf:
-            return False
-        t = t.right
-    return True
+    return t.bits == "10" * (t.leaf_count - 1) + "0"
 
 
 def tree_from_bits(bits: str) -> BinaryTree:
     """Parse a preorder bitstring; inverse of ``BinaryTree.bits``."""
+    need = 1  # subtrees still to read
+    for b in bits:
+        if not need:
+            raise ValueError(f"trailing characters in tree bitstring {bits!r}")
+        if b == "1":
+            need += 1
+        elif b == "0":
+            need -= 1
+        else:
+            raise ValueError(f"invalid character {b!r} in tree bitstring")
+    if need:
+        raise ValueError(f"truncated tree bitstring {bits!r}")
+    return _tree(bits)
 
-    def parse(i: int) -> tuple[BinaryTree, int]:
-        if i >= len(bits):
-            raise ValueError(f"truncated tree bitstring {bits!r}")
-        if bits[i] == "0":
-            return LEAF, i + 1
-        if bits[i] != "1":
-            raise ValueError(f"invalid character {bits[i]!r} in tree bitstring")
-        left, j = parse(i + 1)
-        right, k = parse(j)
-        return BinaryTree(left, right), k
 
-    tree, end = parse(0)
-    if end != len(bits):
-        raise ValueError(f"trailing characters in tree bitstring {bits!r}")
-    return tree
+class TreeNode:
+    """One internal node of a tree, with its place in the leaf line.
+
+    The node's leaves are ``first .. end - 1``; its right subtree starts at
+    leaf ``gap``, so the Tait vertex between its two subtrees is ``gap``.
+    ``parent`` is the preorder index of the parent node (-1 at the root)
+    and ``side`` is ``"L"`` or ``"R"`` as a child of it (None at the root).
+    """
+
+    __slots__ = ("first", "gap", "end", "parent", "side")
+
+    def __init__(self, first: int, parent: int, side: str | None):
+        self.first = first
+        self.gap = -1  # set once the left subtree is read
+        self.end = -1  # set once the right subtree is read
+        self.parent = parent
+        self.side = side
+
+
+def node_table(t: BinaryTree) -> tuple[list[TreeNode], list[tuple[int, str | None]]]:
+    """The internal nodes of ``t`` in preorder, and for each leaf the
+    (node index, side) that holds it; a lone leaf is held by (-1, None).
+
+    One pass over the bitstring with a stack of the nodes whose subtrees
+    are still open.
+    """
+    nodes: list[TreeNode] = []
+    holders: list[tuple[int, str | None]] = []
+    open_nodes: list[int] = []
+    leaf = 0
+    for b in t.bits:
+        if open_nodes:
+            parent = open_nodes[-1]
+            side = "L" if nodes[parent].gap < 0 else "R"
+        else:
+            parent, side = -1, None
+        if b == "1":
+            open_nodes.append(len(nodes))
+            nodes.append(TreeNode(leaf, parent, side))
+            continue
+        holders.append((parent, side))
+        leaf += 1
+        # the leaf may finish the left subtree of the innermost open node,
+        # or the right subtrees of several nodes at once
+        while open_nodes:
+            nd = nodes[open_nodes[-1]]
+            if nd.gap < 0:
+                nd.gap = leaf
+                break
+            nd.end = leaf
+            open_nodes.pop()
+    return nodes, holders
 
 
 def graft(t: BinaryTree, leaf_index: int, sub: BinaryTree) -> BinaryTree:
     """Replace leaf ``leaf_index`` of ``t`` with ``sub``."""
     if not 0 <= leaf_index < t.leaf_count:
         raise IndexError(f"leaf index {leaf_index} out of range for {t.leaf_count} leaves")
-    if t.is_leaf:
-        return sub
-    nl = t.left.leaf_count
-    if leaf_index < nl:
-        return BinaryTree(graft(t.left, leaf_index, sub), t.right)
-    return BinaryTree(t.left, graft(t.right, leaf_index - nl, sub))
+    runs = t.bits.split("0")
+    return _tree("0".join(runs[: leaf_index + 1]) + sub.bits + "0".join(runs[leaf_index + 1 :]))
 
 
 def graft_all(t: BinaryTree, parts: list[BinaryTree]) -> BinaryTree:
     """Replace leaf ``i`` of ``t`` with ``parts[i]`` for every leaf at once."""
     if len(parts) != t.leaf_count:
         raise ValueError("need exactly one replacement per leaf")
-    if t.is_leaf:
-        return parts[0]
-    nl = t.left.leaf_count
-    return BinaryTree(graft_all(t.left, parts[:nl]), graft_all(t.right, parts[nl:]))
+    runs = t.bits.split("0")
+    out = [runs[0]]
+    for part, ones in zip(parts, runs[1:]):
+        out += (part.bits, ones)
+    return _tree("".join(out))
 
 
 def split_along(refined: BinaryTree, base: BinaryTree) -> list[BinaryTree]:
     """Decompose ``refined`` along ``base``: the list of subtrees hanging at
     the positions of ``base``'s leaves.  ``refined`` must be an expansion of
     ``base`` (``graft_all(base, split_along(refined, base)) == refined``)."""
-    if base.is_leaf:
-        return [refined]
-    if refined.is_leaf:
-        raise ValueError("first tree does not refine the second")
-    return split_along(refined.left, base.left) + split_along(refined.right, base.right)
+    bits = refined.bits
+    parts: list[BinaryTree] = []
+    i = 0
+    for b in base.bits:
+        if b == "0":
+            end = _subtree_end(bits, i)
+            parts.append(_tree(bits[i:end]))
+            i = end
+        elif bits[i] == "1":
+            i += 1
+        else:
+            raise ValueError("first tree does not refine the second")
+    return parts
 
 
 def common_refinement(a: BinaryTree, b: BinaryTree) -> BinaryTree:
-    """Least common expansion of two trees (recursive merge)."""
-    if a.is_leaf:
-        return b
-    if b.is_leaf:
-        return a
-    return BinaryTree(common_refinement(a.left, b.left), common_refinement(a.right, b.right))
+    """Least common expansion of two trees: walk both preorders in step; where
+    one tree has a leaf, copy the other's subtree."""
+    x, y = a.bits, b.bits
+    out: list[str] = []
+    i = j = 0
+    while i < len(x):
+        if x[i] == "0":
+            end = _subtree_end(y, j)
+            out.append(y[j:end])
+            i, j = i + 1, end
+        elif y[j] == "0":
+            end = _subtree_end(x, i)
+            out.append(x[i:end])
+            i, j = end, j + 1
+        else:
+            out.append("1")
+            i, j = i + 1, j + 1
+    return _tree("".join(out))
 
 
 def caret_positions(t: BinaryTree) -> set[int]:
     """Indices ``i`` such that leaves ``i`` and ``i + 1`` are siblings."""
-    out: set[int] = set()
-
-    def walk(s: BinaryTree, base: int) -> None:
-        if s.is_leaf:
-            return
-        if s.left.is_leaf and s.right.is_leaf:
-            out.add(base)
-            return
-        walk(s.left, base)
-        walk(s.right, base + s.left.leaf_count)
-
-    walk(t, 0)
-    return out
+    runs = t.bits.split("0")
+    return {i for i in range(t.leaf_count - 1) if runs[i].endswith("1") and not runs[i + 1]}
 
 
 def remove_caret(t: BinaryTree, i: int) -> BinaryTree:
     """Collapse the caret whose leaves are ``i`` and ``i + 1`` back to a leaf."""
-    if t.is_leaf:
-        raise ValueError("no caret to remove")
-    if t.left.is_leaf and t.right.is_leaf:
-        if i != 0:
-            raise ValueError(f"leaves {i}, {i + 1} are not siblings")
-        return LEAF
-    nl = t.left.leaf_count
-    if i + 1 <= nl - 1:
-        return BinaryTree(remove_caret(t.left, i), t.right)
-    if i >= nl:
-        return BinaryTree(t.left, remove_caret(t.right, i - nl))
-    # pair straddles the children boundary, never siblings
-    raise ValueError(f"leaves {i}, {i + 1} are not siblings")
+    runs = t.bits.split("0")
+    if not (0 <= i < t.leaf_count - 1 and runs[i].endswith("1") and not runs[i + 1]):
+        raise ValueError(f"leaves {i}, {i + 1} are not siblings")
+    # the caret's 100 becomes the 0 of one leaf
+    return _tree("0".join(runs[:i] + [runs[i][:-1]] + runs[i + 2 :]))
 
 
 def leaf_exponents(t: BinaryTree) -> list[int]:
@@ -195,32 +255,31 @@ def leaf_exponents(t: BinaryTree) -> list[int]:
     the chain sits on the right spine.  The tree pair ``(t, right_comb(n))``
     equals the product of ``x_k ** e_k`` with ``k`` ascending.
     """
-    exponents = [0] * t.leaf_count
-
-    def walk(s: BinaryTree, base: int, on_spine: bool, is_top: bool) -> None:
-        # on_spine: s is reachable from the root by right-child edges only.
-        # is_top: s is not a left child, so it tops the chain of its
-        # leftmost leaf.
-        if is_top:
-            length, cur = 0, s
-            while not cur.is_leaf:
-                length += 1
-                cur = cur.left
-            exponents[base] = max(0, length - 1 if on_spine else length)
-        if s.is_leaf:
-            return
-        walk(s.left, base, False, False)
-        walk(s.right, base + s.left.leaf_count, on_spine, True)
-
-    walk(t, 0, True, True)
+    exponents = []
+    need = 1  # subtrees still to read; 1 exactly on the right spine
+    for ones in t.bits.split("0")[:-1]:
+        chain = len(ones)
+        exponents.append(max(0, chain - 1 if need == 1 else chain))
+        need += chain - 1
     return exponents
 
 
 def random_tree(n_leaves: int, rng: Random) -> BinaryTree:
-    """Uniform-ish random tree with the given number of leaves."""
+    """Uniform-ish random tree with the given number of leaves.
+
+    Every internal node draws the leaf count of its left subtree; the
+    draws are made in preorder.
+    """
     if n_leaves < 1:
         raise ValueError("a tree has at least one leaf")
-    if n_leaves == 1:
-        return LEAF
-    k = rng.randint(1, n_leaves - 1)
-    return BinaryTree(random_tree(k, rng), random_tree(n_leaves - k, rng))
+    out: list[str] = []
+    pending = [n_leaves]  # leaf counts of the subtrees still to write
+    while pending:
+        n = pending.pop()
+        if n == 1:
+            out.append("0")
+            continue
+        k = rng.randint(1, n - 1)
+        out.append("1")
+        pending += (n - k, k)
+    return _tree("".join(out))

@@ -106,12 +106,34 @@ def test_domain_errors_exit_1(capsys):
         (["element", "parse", '{"source":5,"target":"0"}'], 1),
         (["experiment", "thm2", "--gen", "x0", "--n", "-1"], 2),
         (["bracket", "x0", "--max-states", "-1"], 2),
+        (["oracle", "two-bridge", "1,1", "--max-crossings", "-3"], 2),
+        (["oracle", "two-bridge", "1,1", "--max-crossings", "0"], 2),
     ],
 )
 def test_bad_input_fails_without_traceback(argv, status):
     proc = run_child(argv, text=True)
     assert proc.returncode == status
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["element", "parse", "x5000"],
+        ["link", "x5000", "--format", "json"],
+        ["link", "x2000", "--route", "tait", "--format", "json"],
+        ["element", "parse", "x1200", "--format", "svg"],
+        ["link", "x1200", "--format", "svg"],
+        ["conjugate", "x1500", "x2"],
+    ],
+)
+def test_deep_trees_answer(argv):
+    # x_k's source tree is k + 2 levels deep
+    proc = run_child(argv, text=True)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    if argv[0] == "conjugate":
+        assert proc.stdout == "conjugate\n"
 
 
 def test_usage_errors_exit_2():

@@ -8,6 +8,7 @@ from thomplink import (
     direct_link,
     equivalent_up_to_units,
     expand,
+    from_word,
     identity,
     kauffman_bracket,
     make_generator,
@@ -126,3 +127,14 @@ def test_component_trace_on_two_bridge():
 
     assert component_count(two_bridge_diagram(ConwayCode([1, 1]))) == 2
     assert component_count(two_bridge_diagram(ConwayCode([1, 1, 1, 1]))) == 1
+
+
+def test_crossing_numbering_is_pinned():
+    # crossings follow the tree nodes in preorder, source tree first
+    p = from_word("x1 x0^-1")
+    assert direct_link(p).crossings == (
+        (11, 0, 8, 4), (4, 5, 10, 3), (5, 1, 9, 2), (11, 7, 9, 6), (6, 1, 8, 0), (7, 3, 10, 2),
+    )
+    assert medial_link(tait_graph(p)).crossings == (
+        (0, 2, 5, 4), (4, 3, 10, 11), (3, 6, 7, 9), (0, 8, 7, 1), (1, 6, 5, 2), (8, 11, 10, 9),
+    )

@@ -2,11 +2,13 @@ import json
 from random import Random
 
 from thomplink import (
+    AnnularStrandDiagram,
     annular_closure,
     annular_component_count,
     are_conjugate,
     canonical_code,
     concatenate,
+    from_word,
     identity,
     invert,
     make_generator,
@@ -74,6 +76,27 @@ def test_winding_condition_fuzz():
         g = random_element(rng, 10)
         assert annular_of(g).winding_condition_holds()
         assert reduced_annular_of(g).winding_condition_holds()
+
+
+def test_vertex_and_edge_numbering_is_pinned():
+    # splits then merges, each tree's nodes in preorder; edges: the two
+    # root edges, the internal edges of each tree, then the leaf strands
+    data = json.loads(annular_of(from_word("x1 x0^-1")).to_json())
+    assert [(e["id"], *e["src"], *e["dst"]) for e in data["edges"]] == [
+        (2, 2, "R", 3, "in"), (3, 3, "L", 4, "in"), (4, 6, "out", 5, "L"),
+        (5, 7, "out", 5, "R"), (6, 2, "L", 6, "L"), (7, 4, "L", 6, "R"),
+        (8, 4, "R", 7, "L"), (9, 3, "R", 7, "R"), (10, 5, "out", 2, "in"),
+    ]
+
+
+def test_winding_condition_at_depth():
+    a = annular_of(make_generator(1500))
+    assert a.winding_condition_holds()
+    # without its cut crossing the closing edge makes a zero-winding cycle
+    net = a._net.copy()
+    for rec in net.edges.values():
+        rec[4] = []
+    assert not AnnularStrandDiagram(net).winding_condition_holds()
 
 
 def test_conjugation_soundness():

@@ -11,6 +11,7 @@ from thomplink.trees import (
     graft_all,
     is_right_comb,
     leaf_exponents,
+    node_table,
     random_tree,
     remove_caret,
     right_comb,
@@ -81,3 +82,82 @@ def test_leaf_exponents_known_values():
     # source/target trees of x0^3 x2^-1 x0^-3
     assert leaf_exponents(tree_from_bits("111000100")) == [2, 0, 0, 0, 0]
     assert leaf_exponents(tree_from_bits("111010000")) == [2, 1, 0, 0, 0]
+
+
+def test_random_tree_draw_order():
+    # seeded tests elsewhere rest on these draws
+    r = Random(7)
+    assert [random_tree(n, r).bits for n in (1, 5, 12)] == [
+        "0",
+        "110100100",
+        "11001110110100001011000",
+    ]
+
+
+def reference_table(bits: str):
+    """Recursive reference for ``node_table``: per node in preorder
+    (first, gap, end, parent, side), and the (node, side) holding each leaf."""
+    nodes, holders = [], []
+
+    def walk(i, leaf, parent, side):  # returns (next bit, next leaf)
+        if bits[i] == "0":
+            holders.append((parent, side))
+            return i + 1, leaf + 1
+        me = len(nodes)
+        nodes.append(None)
+        j, gap = walk(i + 1, leaf, me, "L")
+        k, end = walk(j, gap, me, "R")
+        nodes[me] = (leaf, gap, end, parent, side)
+        return k, end
+
+    walk(0, 0, -1, None)
+    return nodes, holders
+
+
+def table_tuples(t):
+    nodes, holders = node_table(t)
+    return [(nd.first, nd.gap, nd.end, nd.parent, nd.side) for nd in nodes], holders
+
+
+def test_node_table_matches_recursive_reference():
+    rng = Random(4)
+    for _ in range(300):
+        t = random_tree(rng.randint(1, 40), rng)
+        assert table_tuples(t) == reference_table(t.bits)
+
+
+N = 10_000
+LEFT_COMB = tree_from_bits("1" * (N - 1) + "0" * N)
+RIGHT_COMB = tree_from_bits("10" * (N - 1) + "0")
+
+
+@pytest.mark.parametrize("comb", [LEFT_COMB, RIGHT_COMB], ids=["left", "right"])
+def test_deep_combs(comb):
+    assert comb.leaf_count == N
+    assert tree_from_bits(comb.bits) == comb
+    parts = [caret() if k % 3 == 0 else LEAF for k in range(N)]
+    refined = graft_all(comb, parts)
+    assert split_along(refined, comb) == parts
+    assert refined.leaf_count == N + (N + 2) // 3
+
+
+def test_deep_comb_operations():
+    # left comb: leaves 0, 1 are the only caret, x0^(N-2) in leaf 0
+    assert caret_positions(LEFT_COMB) == {0}
+    assert remove_caret(LEFT_COMB, 0).bits == "1" * (N - 2) + "0" * (N - 1)
+    assert leaf_exponents(LEFT_COMB) == [N - 2] + [0] * (N - 1)
+    # right comb: the last two leaves are the only caret, no exponents
+    assert caret_positions(RIGHT_COMB) == {N - 2}
+    assert remove_caret(RIGHT_COMB, N - 2) == right_comb(N - 1)
+    assert leaf_exponents(RIGHT_COMB) == [0] * N
+    # their refinement copies the left comb's left and the right comb's right
+    m = common_refinement(LEFT_COMB, RIGHT_COMB)
+    assert m.bits == "1" + LEFT_COMB.bits[1 : N - 1] + "0" * (N - 1) + RIGHT_COMB.bits[2:]
+    assert len(split_along(m, LEFT_COMB)) == len(split_along(m, RIGHT_COMB)) == N
+
+
+def test_deep_comb_node_tables():
+    left = [(0, N - 1 - i, N - i, i - 1, "L" if i else None) for i in range(N - 1)]
+    right = [(i, i + 1, N, i - 1, "R" if i else None) for i in range(N - 1)]
+    assert table_tuples(LEFT_COMB) == (left, [(N - 2, "L")] + [(N - 1 - k, "R") for k in range(1, N)])
+    assert table_tuples(RIGHT_COMB) == (right, [(k, "L") for k in range(N - 1)] + [(N - 2, "R")])
