@@ -82,7 +82,10 @@ class TreePair:
 
     @classmethod
     def from_json(cls, text: str) -> "TreePair":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("tree-pair JSON is nested too deeply") from None
         return cls(tree_from_bits(data["source"]), tree_from_bits(data["target"]))
 
     def __eq__(self, other) -> bool:
@@ -170,7 +173,7 @@ class WordSyntaxError(ValueError):
     """Raised for malformed generator words."""
 
 
-_TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
+_TOKEN = re.compile(r"^x([0-9]+)(?:\^(-?[0-9]+))?$")
 
 
 class Word:
@@ -238,9 +241,20 @@ def from_word(w: Word | str) -> TreePair:
         gen = make_generator(index)
         if exponent < 0:
             gen = invert(gen)
-        for _ in range(abs(exponent)):
-            acc = multiply(acc, gen)
+        acc = multiply(acc, _power(gen, abs(exponent)))
     return acc
+
+
+def _power(p: TreePair, k: int) -> TreePair:
+    """``p`` to the positive power ``k``, by repeated squaring."""
+    result = None
+    while True:
+        if k & 1:
+            result = p if result is None else multiply(result, p)
+        k >>= 1
+        if not k:
+            return result
+        p = multiply(p, p)
 
 
 def _positive_factors(tree: BinaryTree) -> list[tuple[int, int]]:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 from functools import cmp_to_key
+from heapq import heappop, heappush
 from random import Random
 
 from .pairs import TreePair
@@ -80,7 +81,35 @@ _ROTATION = {
     SINK: {"in": "in"},
 }
 
-_SRC_SLOTS = {"L", "R", "out"}  # slots where an edge leaves its vertex
+
+class _Cut:
+    """The radial cut order as a doubly linked ring, so that a reduction
+    move splices tokens in constant time; -1 is the ring's sentinel."""
+
+    def __init__(self, tokens: list[int]):
+        ring = [-1, *tokens]
+        self.after = dict(zip(ring, ring[1:] + ring[:1]))
+        self.before = {b: a for a, b in self.after.items()}
+
+    def remove(self, t: int) -> None:
+        a, b = self.before.pop(t), self.after.pop(t)
+        self.after[a] = b
+        self.before[b] = a
+
+    def split(self, t: int, inner: int, outer: int) -> None:
+        """Replace ``t`` by ``inner`` followed by ``outer``."""
+        a, b = self.before.pop(t), self.after.pop(t)
+        for x, y in ((a, inner), (inner, outer), (outer, b)):
+            self.after[x] = y
+            self.before[y] = x
+
+    def tokens(self) -> list[int]:
+        out = []
+        t = self.after[-1]
+        while t != -1:
+            out.append(t)
+            t = self.after[t]
+        return out
 
 
 class _Net:
@@ -141,13 +170,16 @@ class _Net:
             if self.att.get(key) == eid:
                 del self.att[key]
 
-    def _resolve_connectors(self, connectors: list[list]) -> None:
+    def _resolve_connectors(self, connectors: list[list]) -> list[int]:
         """Splice edge chains through removed vertices.
 
         Each connector [ein, eout, tokens] joins the loose dst end of
         ``ein`` to the loose src end of ``eout``, inserting the corridor's
         cut crossings; a chain that closes on itself becomes a free loop.
+        Returns the spliced edges that survive, the only edges whose
+        records changed.
         """
+        kept = []
         for k, (ein, eout, tokens) in enumerate(connectors):
             if ein == eout:
                 loop = self.edges[ein][4] + tokens
@@ -161,52 +193,56 @@ class _Net:
             keep[4] = keep[4] + tokens + gone[4]
             del self.edges[eout]
             self.att[(keep[2], keep[3])] = ein
+            kept.append(ein)
             for later in connectors[k + 1 :]:
                 if later[0] == eout:
                     later[0] = ein
+        return [eid for eid in kept if eid in self.edges]
 
     # -- reduction moves ----------------------------------------------------
 
-    def bigon_moves(self) -> list[int]:
-        """Splits whose outputs feed one merge in order, bounding a disk
+    def _is_bigon(self, vid: int) -> bool:
+        """A split whose outputs feed one merge in order, bounding a disk
         (the parallel strands cross the cut equally often)."""
-        out = []
-        for vid, kind in self.kind.items():
-            if kind != SPLIT:
-                continue
-            el = self.att[(vid, "L")]
-            er = self.att[(vid, "R")]
-            rl, rr = self.edges[el], self.edges[er]
-            if (
-                rl[2] == rr[2]
-                and self.kind.get(rl[2]) == MERGE
-                and rl[3] == "L"
-                and rr[3] == "R"
-                and len(rl[4]) == len(rr[4])
-            ):
-                out.append(vid)
-        return sorted(out)
-
-    def pass_moves(self) -> list[int]:
-        """Edges running from a merge into a split."""
-        return sorted(
-            eid
-            for eid, rec in self.edges.items()
-            if self.kind.get(rec[0]) == MERGE and self.kind.get(rec[2]) == SPLIT
+        if self.kind.get(vid) != SPLIT:
+            return False
+        rl = self.edges[self.att[(vid, "L")]]
+        rr = self.edges[self.att[(vid, "R")]]
+        return (
+            rl[2] == rr[2]
+            and self.kind.get(rl[2]) == MERGE
+            and rl[3] == "L"
+            and rr[3] == "R"
+            and len(rl[4]) == len(rr[4])
         )
 
-    def apply_bigon(self, split_vid: int) -> None:
+    def _is_pass(self, eid: int) -> bool:
+        """An edge running from a merge into a split."""
+        rec = self.edges.get(eid)
+        return (
+            rec is not None
+            and self.kind.get(rec[0]) == MERGE
+            and self.kind.get(rec[2]) == SPLIT
+        )
+
+    def bigon_moves(self) -> list[int]:
+        return [vid for vid in sorted(self.kind) if self._is_bigon(vid)]
+
+    def pass_moves(self) -> list[int]:
+        return [eid for eid in sorted(self.edges) if self._is_pass(eid)]
+
+    def apply_bigon(self, split_vid: int, cut: _Cut) -> list[int]:
         el = self.att[(split_vid, "L")]
         er = self.att[(split_vid, "R")]
         merge_vid = self.edges[el][2]
         left_tokens = self.edges[el][4]
         right_tokens = self.edges[er][4]
-        pos = {t: i for i, t in enumerate(self.cut_order)}
         for tl, tr in zip(left_tokens, right_tokens):
             # the left strand of the bigon is the outer one at every wrap
-            if pos[tl] != pos[tr] + 1:
+            if cut.before[tl] != tr:
                 raise AssertionError("bigon strands must cross the cut adjacently")
-        self.cut_order = [t for t in self.cut_order if t not in set(left_tokens)]
+        for t in left_tokens:
+            cut.remove(t)
         ein = self.att[(split_vid, "in")]
         eout = self.att[(merge_vid, "out")]
         corridor = list(right_tokens)
@@ -214,9 +250,9 @@ class _Net:
         self._drop_edge(er)
         self._remove_vertex(split_vid)
         self._remove_vertex(merge_vid)
-        self._resolve_connectors([[ein, eout, corridor]])
+        return self._resolve_connectors([[ein, eout, corridor]])
 
-    def apply_pass(self, eid: int) -> None:
+    def apply_pass(self, eid: int, cut: _Cut) -> list[int]:
         merge_vid, _, split_vid, _, tokens = self.edges[eid]
         left_copies, right_copies = [], []
         for t in tokens:
@@ -225,20 +261,19 @@ class _Net:
             inner, outer = self.new_token(), self.new_token()
             right_copies.append(inner)
             left_copies.append(outer)
-            p = self.cut_order.index(t)
-            self.cut_order[p : p + 1] = [inner, outer]
+            cut.split(t, inner, outer)
         left = [self.att[(merge_vid, "L")], self.att[(split_vid, "L")], left_copies]
         right = [self.att[(merge_vid, "R")], self.att[(split_vid, "R")], right_copies]
         self._drop_edge(eid)
         self._remove_vertex(merge_vid)
         self._remove_vertex(split_vid)
-        self._resolve_connectors([left, right])
+        return self._resolve_connectors([left, right])
 
     def merge_parallel_loops(self) -> None:
         """Type III: collapse runs of radially adjacent free loops."""
         if len(self.loop_tokens) < 2:
             return
-        order = self.radial_items()
+        order = self.radial_items(self._face_orbits())
         drop: set[int] = set()
         prev_loop_token = None
         for kind, payload in order:
@@ -253,16 +288,43 @@ class _Net:
             self.cut_order = [t for t in self.cut_order if t not in drop]
 
     def reduce(self, annular: bool, rng: Random | None = None) -> None:
+        """Apply the smallest type I move, else the smallest type II, until
+        none fits; with ``rng``, a random one of the sorted type I moves
+        followed by the sorted type II moves.
+
+        The two lists are lazy min-heaps: a move changes only the edges it
+        splices, so those edges and their source vertices are pushed as
+        candidates and stale entries are dropped when they reach the top.
+        """
+        cut = _Cut(self.cut_order)
+        bigons, passes = self.bigon_moves(), self.pass_moves()
         while True:
-            moves = [("I", v) for v in self.bigon_moves()]
-            moves += [("II", e) for e in self.pass_moves()]
-            if not moves:
-                break
-            kind, key = rng.choice(moves) if rng is not None else moves[0]
-            if kind == "I":
-                self.apply_bigon(key)
+            if rng is not None:
+                bigons = sorted({v for v in bigons if self._is_bigon(v)})
+                passes = sorted({e for e in passes if self._is_pass(e)})
+                moves = [("I", v) for v in bigons] + [("II", e) for e in passes]
+                if not moves:
+                    break
+                kind, key = rng.choice(moves)
             else:
-                self.apply_pass(key)
+                while bigons and not self._is_bigon(bigons[0]):
+                    heappop(bigons)
+                while passes and not self._is_pass(passes[0]):
+                    heappop(passes)
+                if bigons:
+                    kind, key = "I", bigons[0]
+                elif passes:
+                    kind, key = "II", passes[0]
+                else:
+                    break
+            if kind == "I":
+                spliced = self.apply_bigon(key, cut)
+            else:
+                spliced = self.apply_pass(key, cut)
+            for eid in spliced:
+                heappush(passes, eid)
+                heappush(bigons, self.edges[eid][0])
+        self.cut_order = cut.tokens()
         if annular:
             self.merge_parallel_loops()
 
@@ -318,10 +380,10 @@ class _Net:
             comps.append(comp)
         return comps
 
-    def radial_items(self) -> list[tuple[str, object]]:
-        """Components and free loops sorted innermost to outermost."""
+    def radial_items(self, faces: dict[tuple[int, int], int]) -> list[tuple[str, object]]:
+        """Components and free loops sorted innermost to outermost, given
+        the face of every dart (:meth:`_face_orbits`)."""
         pos = {t: i for i, t in enumerate(self.cut_order)}
-        faces = self._face_orbits() if self.edges else {}
         comps = []
         for comp in self.component_edge_sets():
             token_edge = {}
@@ -405,17 +467,100 @@ class _Net:
 
     # -- canonical form -------------------------------------------------------
 
-    def _signature_from(self, start: int, marks: tuple[int, int] | None) -> tuple:
-        edge_ix = {start: 0}
-        edge_order = [start]
-        vert_ix: dict[int, int] = {}
-        vert_order: list[int] = []
-        psi: dict[int, int] = {}
-        pos = 0
-        while pos < len(edge_order):
-            eid = edge_order[pos]
-            pos += 1
-            src_v, _, dst_v, _, tokens = self.edges[eid]
+    def _min_signature(self, starts: list[int], marks: tuple[list, list]) -> tuple:
+        """Least signature over ``starts``.
+
+        Walks from every start advance in lockstep, one vertex entry at a
+        time, and only those holding the least entry go on, so a start
+        costs about the length of its common prefix with the winner.  Two
+        walks with equal signatures pair their edge orders into an
+        automorphism of the marked, embedded diagram, under which every
+        signature is invariant: at k = 1, 2, 4, ... the first two walks
+        are compared in full, the greater is dropped, and on a tie the
+        paired edges are joined in a union-find and each class keeps one
+        walk.  Symmetric diagrams such as the annular closure of x0^n thus
+        cost a few whole walks, not one per start.
+        """
+        parent = {e: e for e in starts}
+
+        def find(e: int) -> int:
+            while parent[e] != e:
+                parent[e] = parent[parent[e]]
+                e = parent[e]
+            return e
+
+        def settle(walks: list[_Walk]) -> list[_Walk]:
+            first, second = walks[0], walks[1]
+            a, b = first.signature(marks), second.signature(marks)
+            if a != b:
+                return [first if a < b else second] + walks[2:]
+            for x, y in zip(first.edge_order, second.edge_order):
+                parent[find(x)] = find(y)
+            classes = set()
+            out = []
+            for walk in walks:
+                root = find(walk.edge_order[0])
+                if root not in classes:
+                    classes.add(root)
+                    out.append(walk)
+            return out
+
+        walks = [_Walk(self, start) for start in starts]
+        k = 0
+        while len(walks) > 1 and walks[0].entry(k) is not None:
+            entries = [walk.entry(k) for walk in walks]
+            least = min(entries)
+            walks = [walk for walk, e in zip(walks, entries) if e == least]
+            k += 1
+            if k & (k - 1) == 0 and len(walks) > 1:
+                walks = settle(walks)
+        while len(walks) > 1:  # equal vertex entries: windings and marks decide
+            walks = settle(walks)
+        return walks[0].signature(marks)
+
+    def canonical_form(self) -> tuple:
+        faces = self._face_orbits()
+        face_darts: dict[int, list] = {}
+        for dart, face in faces.items():
+            face_darts.setdefault(face, []).append(dart)
+        items = []
+        for kind, payload in self.radial_items(faces):
+            if kind == "loop":
+                items.append("O")
+            else:
+                marks = (face_darts[payload["hole"]], face_darts[payload["outer"]])
+                items.append(self._min_signature(sorted(payload["edges"]), marks))
+        return tuple(items)
+
+
+class _Walk:
+    """The traversal signature of a component from one start edge, computed
+    only as far as a comparison asks.
+
+    Edges are visited breadth first from ``start``; a vertex, when first
+    reached, numbers its unnumbered slot edges in slot order, and its entry
+    (kind, slot edge numbers) is then final.  The signature is the vertex
+    entries, the windings reduced by the gauge ``psi`` of the spanning
+    tree of first visits, and for each marked face the least (edge number,
+    end) among its darts.
+    """
+
+    def __init__(self, net: _Net, start: int):
+        self.net = net
+        self.edge_ix = {start: 0}
+        self.edge_order = [start]
+        self.seen: set[int] = set()
+        self.verts: list[tuple] = []
+        self.psi: dict[int, int] = {}
+        self.pos = 0
+        self.sig: tuple | None = None
+
+    def entry(self, k: int) -> tuple | None:
+        """The k-th vertex entry, or None past the last vertex."""
+        net, edge_ix, edge_order, psi = self.net, self.edge_ix, self.edge_order, self.psi
+        while len(self.verts) <= k and self.pos < len(edge_order):
+            src_v, _, dst_v, _, tokens = net.edges[edge_order[self.pos]]
+            self.pos += 1
             w = len(tokens)
             if src_v not in psi and dst_v not in psi:
                 psi[src_v] = 0
@@ -424,51 +569,39 @@ class _Net:
             elif dst_v in psi and src_v not in psi:
                 psi[src_v] = psi[dst_v] - w
             for vid in (dst_v, src_v):
-                if vid in vert_ix:
+                if vid in self.seen:
                     continue
-                vert_ix[vid] = len(vert_order)
-                vert_order.append(vid)
-                for slot in _SLOTS[self.kind[vid]]:
-                    nxt = self.att[(vid, slot)]
-                    if nxt not in edge_ix:
-                        edge_ix[nxt] = len(edge_order)
+                self.seen.add(vid)
+                kind = net.kind[vid]
+                ixs = []
+                for slot in _SLOTS[kind]:
+                    nxt = net.att[(vid, slot)]
+                    ix = edge_ix.get(nxt)
+                    if ix is None:
+                        ix = edge_ix[nxt] = len(edge_order)
                         edge_order.append(nxt)
-        verts = tuple(
-            (
-                self.kind[vid],
-                tuple(edge_ix[self.att[(vid, slot)]] for slot in _SLOTS[self.kind[vid]]),
-            )
-            for vid in vert_order
-        )
-        winds = tuple(
-            len(self.edges[eid][4]) + psi[self.edges[eid][0]] - psi[self.edges[eid][2]]
-            for eid in edge_order
-        )
-        if marks is None:
-            return (verts, winds)
-        faces = self._face_orbits()
-        mark_ids = []
-        for face in marks:
-            mark_ids.append(
-                min(
-                    (edge_ix[eid], end)
-                    for (eid, end), f in faces.items()
-                    if f == face and eid in edge_ix
-                )
-            )
-        return (verts, winds, tuple(mark_ids))
+                    ixs.append(ix)
+                self.verts.append((kind, tuple(ixs)))
+        return self.verts[k] if k < len(self.verts) else None
 
-    def canonical_form(self) -> tuple:
-        items = []
-        for kind, payload in self.radial_items():
-            if kind == "loop":
-                items.append("O")
-            else:
-                marks = (payload["hole"], payload["outer"])
-                items.append(
-                    min(self._signature_from(e, marks) for e in payload["edges"])
+    def signature(self, marks: tuple[list, list] | None) -> tuple:
+        """The whole signature; ``marks`` lists the darts of the hole face
+        and of the outer face, or is None for a square diagram.  A walk
+        serves one component, so the first result is kept."""
+        if self.sig is None:
+            self.entry(len(self.net.kind))
+            edges, psi = self.net.edges, self.psi
+            winds = tuple(
+                len(edges[eid][4]) + psi[edges[eid][0]] - psi[edges[eid][2]]
+                for eid in self.edge_order
+            )
+            self.sig = (tuple(self.verts), winds)
+            if marks is not None:
+                mark_ids = tuple(
+                    min((self.edge_ix[eid], end) for eid, end in darts) for darts in marks
                 )
-        return tuple(items)
+                self.sig += (mark_ids,)
+        return self.sig
 
 
 def _format_code(form: tuple, loops: int) -> str:
@@ -504,7 +637,7 @@ class StrandDiagram:
         return sum(1 for k in self._net.kind.values() if k == MERGE)
 
     def canonical_signature(self) -> tuple:
-        return self._net._signature_from(self._net.att[(self._source, "out")], None)
+        return _Walk(self._net, self._net.att[(self._source, "out")]).signature(None)
 
     def __eq__(self, other) -> bool:
         return (

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -108,6 +109,7 @@ def test_domain_errors_exit_1(capsys):
         (["bracket", "x0", "--max-states", "-1"], 2),
         (["oracle", "two-bridge", "1,1", "--max-crossings", "-3"], 2),
         (["oracle", "two-bridge", "1,1", "--max-crossings", "0"], 2),
+        (["element", "parse", "x\u0663"], 1),  # an Arabic-Indic digit
     ],
 )
 def test_bad_input_fails_without_traceback(argv, status):
@@ -125,15 +127,103 @@ def test_bad_input_fails_without_traceback(argv, status):
         ["element", "parse", "x1200", "--format", "svg"],
         ["link", "x1200", "--format", "svg"],
         ["conjugate", "x1500", "x2"],
+        ["conjugate", "x5000", "x2"],
+        ["conjugate", "x0^2000", "x0"],
     ],
 )
 def test_deep_trees_answer(argv):
-    # x_k's source tree is k + 2 levels deep
+    # x_k's source tree is k + 2 levels deep; x0^k has k + 2 leaves and the
+    # abelianisation tells it from x0
     proc = run_child(argv, text=True)
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     if argv[0] == "conjugate":
-        assert proc.stdout == "conjugate\n"
+        verdict = "not conjugate" if argv[1].startswith("x0^") else "conjugate"
+        assert proc.stdout == verdict + "\n"
+
+
+_JUNK = ["x", "^", "-", " ", "\u0663", "{", "}", "[", '"', ",", ":", "y", ".", "\\"]
+_SIZES = ["0", "-1", "", "abc", "1.5", "1e3", "\u0663", " 2", "1", "3"]
+
+
+def _mutate(rng, text):
+    """Insert, replace or delete up to three characters; never adds a digit
+    or deletes a caret, so no number grows past the ones drawn."""
+    chars = list(text)
+    for _ in range(rng.randint(0, 3)):
+        op, i = rng.randrange(3), rng.randrange(len(chars) + 1)
+        if op == 0:
+            chars.insert(i, rng.choice(_JUNK))
+        elif i < len(chars) and chars[i] != "^":
+            chars[i] = rng.choice(_JUNK) if op == 1 else ""
+    return "".join(chars)
+
+
+def _word(rng, max_index, max_exponent):
+    tokens = [
+        f"x{rng.randint(0, max_index)}^{rng.randint(-max_exponent, max_exponent)}"
+        for _ in range(rng.randint(0, 3))
+    ]
+    return _mutate(rng, " ".join(tokens))
+
+
+def _bits(rng):
+    return "".join(rng.choice("01") for _ in range(rng.randint(0, 9)))
+
+
+def _tree_json(rng):
+    kinds = [_bits, _bits, _bits, lambda r: r.randint(-3, 3), lambda r: None, lambda r: [_bits(r)]]
+    pair = {key: rng.choice(kinds)(rng) for key in ("source", "target") if rng.random() < 0.9}
+    text = json.dumps(pair)
+    roll = rng.random()
+    if roll < 0.2:
+        return text[: rng.randrange(len(text))]
+    if roll < 0.25:  # json.loads recurses once per level
+        return '{"source": ' + "[" * rng.choice([10, 100000])
+    return _mutate(rng, text) if roll < 0.5 else text
+
+
+def _element(rng, max_index, max_exponent):
+    return _tree_json(rng) if rng.random() < 0.4 else _word(rng, max_index, max_exponent)
+
+
+def _option(rng, valid, invalid):
+    return rng.choice(valid) if rng.random() < 0.9 else invalid
+
+
+def _fuzz_argv(rng):
+    """One command line with malformed words, tree JSON and sizes; exponents
+    stay at 1,000 or below (x0^k is a (k + 2)-leaf tree pair) and the
+    elements that reach a link or bracket stay small."""
+    fmt = ["--format", _option(rng, ["text", "json"], "xml")]
+    commands = [
+        ["element", rng.choice(["parse", "reduce", "inv", "word"]), _element(rng, 20, 1000)] + fmt,
+        ["element", "mul", _element(rng, 20, 1000), _element(rng, 20, 1000)],
+        ["conjugate", _element(rng, 20, 1000), _element(rng, 20, 1000)] + fmt,
+        ["link", _element(rng, 4, 3), "--route", _option(rng, ["tait", "direct"], "x"),
+         "--format", _option(rng, ["text", "json", "pd", "svg"], "")],
+        ["bracket", _element(rng, 4, 3), "--max-states", rng.choice(_SIZES + ["9" * 20])],
+        ["experiment", "thm1", "--n", rng.choice(_SIZES), "--seed", _word(rng, 2, 1)] + fmt,
+        ["experiment", "thm2", "--gen", _option(rng, ["x0", "x1"], "x2"), "--n", rng.choice(_SIZES)],
+        ["oracle", "two-bridge", _mutate(rng, ",".join(str(rng.randint(-1, 4)) for _ in range(rng.randint(1, 3)))),
+         "--max-crossings", rng.choice(_SIZES)] + fmt,
+    ]
+    return rng.choice(commands)
+
+
+def test_fuzzed_input_never_crashes(capsys):
+    rng = Random(61)
+    for _ in range(400):
+        argv = _fuzz_argv(rng)
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        except Exception as exc:  # the test's boundary: name the input
+            pytest.fail(f"{argv!r:.300} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert status in (0, 1, 2), argv
+        assert (status == 0) == ("error:" not in err), argv
 
 
 def test_usage_errors_exit_2():

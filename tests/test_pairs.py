@@ -110,7 +110,7 @@ def test_word_parse_and_format():
     assert str(w) == "x0 x2^-1 x0^3"
     assert Word.parse("").factors == ()
     assert Word([(1, 2), (1, -2), (0, 1)]).factors == ((0, 1),)
-    for bad in ("y0", "x", "x^2", "x-1", "x0^"):
+    for bad in ("y0", "x", "x^2", "x-1", "x0^", "x\u0663", "x0^\u0663"):  # Arabic-Indic 3
         with pytest.raises(WordSyntaxError):
             Word.parse(bad)
 
@@ -120,6 +120,20 @@ def test_from_word_basics():
     assert from_word("x0") == make_generator(0)
     assert to_word(identity()) == Word()
     assert str(to_word(make_generator(3))) == "x3"
+
+
+def test_powers_match_repeated_multiplication():
+    # from_word raises a factor to its power by squaring
+    for k in range(4):
+        for sign in (1, -1):
+            gen = make_generator(k) if sign > 0 else invert(make_generator(k))
+            acc = identity()
+            for e in range(13):
+                assert from_word(Word([(k, sign * e)])) == acc, (k, sign * e)
+                acc = multiply(acc, gen)
+    assert from_word("x1^5 x0^-7 x2^3") == multiply(
+        multiply(from_word("x1^5"), from_word("x0^-7")), from_word("x2^3")
+    )
 
 
 def test_word_round_trip_fuzz():

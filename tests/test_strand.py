@@ -1,8 +1,10 @@
+import hashlib
 import json
 from random import Random
 
 from thomplink import (
     AnnularStrandDiagram,
+    TreePair,
     annular_closure,
     annular_component_count,
     are_conjugate,
@@ -15,10 +17,89 @@ from thomplink import (
     multiply,
     random_element,
     reduce_annular,
+    reduce_pair,
     strand_from_pair,
 )
-from thomplink.strand import annular_of, reduced_annular_of
+from thomplink.strand import _SLOTS, _Cut, _format_code, annular_of, reduced_annular_of
+from thomplink.trees import random_tree
 from util import X0, X1
+
+
+def reference_signature(net, start, marks):
+    """The traversal signature from ``start``, recomputing every face and
+    scanning them all for the two marked ones."""
+    edge_ix = {start: 0}
+    edge_order = [start]
+    vert_ix = {}
+    vert_order = []
+    psi = {}
+    pos = 0
+    while pos < len(edge_order):
+        eid = edge_order[pos]
+        pos += 1
+        src_v, _, dst_v, _, tokens = net.edges[eid]
+        w = len(tokens)
+        if src_v not in psi and dst_v not in psi:
+            psi[src_v] = 0
+        if src_v in psi and dst_v not in psi:
+            psi[dst_v] = psi[src_v] + w
+        elif dst_v in psi and src_v not in psi:
+            psi[src_v] = psi[dst_v] - w
+        for vid in (dst_v, src_v):
+            if vid in vert_ix:
+                continue
+            vert_ix[vid] = len(vert_order)
+            vert_order.append(vid)
+            for slot in _SLOTS[net.kind[vid]]:
+                nxt = net.att[(vid, slot)]
+                if nxt not in edge_ix:
+                    edge_ix[nxt] = len(edge_order)
+                    edge_order.append(nxt)
+    verts = tuple(
+        (net.kind[vid], tuple(edge_ix[net.att[(vid, slot)]] for slot in _SLOTS[net.kind[vid]]))
+        for vid in vert_order
+    )
+    winds = tuple(
+        len(net.edges[eid][4]) + psi[net.edges[eid][0]] - psi[net.edges[eid][2]]
+        for eid in edge_order
+    )
+    faces = net._face_orbits()
+    mark_ids = tuple(
+        min((edge_ix[eid], end) for (eid, end), f in faces.items() if f == face and eid in edge_ix)
+        for face in marks
+    )
+    return (verts, winds, mark_ids)
+
+
+def reference_code(a):
+    """Canonical code by the exhaustive minimum over every start edge."""
+    net = a._net
+    items = []
+    for kind, payload in net.radial_items(net._face_orbits()):
+        if kind == "loop":
+            items.append("O")
+        else:
+            marks = (payload["hole"], payload["outer"])
+            items.append(min(reference_signature(net, e, marks) for e in payload["edges"]))
+    return _format_code(tuple(items), a.free_loops)
+
+
+def rescan_reduced(a, rng=None):
+    """Reduction that rescans every vertex and edge for moves after each one."""
+    net = a._net.copy()
+    cut = _Cut(net.cut_order)
+    while True:
+        moves = [("I", v) for v in net.bigon_moves()] + [("II", e) for e in net.pass_moves()]
+        if not moves:
+            break
+        kind, key = rng.choice(moves) if rng is not None else moves[0]
+        if kind == "I":
+            net.apply_bigon(key, cut)
+        else:
+            net.apply_pass(key, cut)
+    net.cut_order = cut.tokens()
+    net.merge_parallel_loops()
+    return AnnularStrandDiagram(net)
 
 
 def test_identity_strand_and_closure():
@@ -189,3 +270,47 @@ def test_json_export():
     kinds = sorted(v["kind"] for v in data["vertices"])
     assert kinds == ["merge", "split"]
     assert sum(e["winding"] for e in data["edges"]) >= 1
+
+
+def test_fast_engine_matches_exhaustive_references():
+    # random reduced diagrams, and powers whose diagrams are symmetric, so
+    # that the canonical search skips automorphic starts
+    rng = Random(58)
+    elements = [random_element(rng, 70) for _ in range(300)]
+    for n in range(1, 25):
+        elements += [from_word(f"x0^{n}"), from_word(f"x1^{n}"), from_word("x0 x1 " * n)]
+    for i, g in enumerate(elements):
+        a = annular_of(g)
+        r = reduce_annular(a)
+        assert r.to_json() == rescan_reduced(a).to_json()
+        assert reduce_annular(a, Random(i)).to_json() == rescan_reduced(a, Random(i)).to_json()
+        assert canonical_code(r) == reference_code(r)
+
+
+def test_reduction_and_codes_are_pinned():
+    # the digest of the reduction that rescans for moves and the canonical
+    # minimum over every start: vertex, edge and token ids and every code
+    # must stay the same, in the deterministic and in random move orders
+    rng = Random(58)
+    digest = hashlib.sha256()
+    for i in range(200):
+        g = random_element(rng, 60)
+        for order in (None, Random(i)):
+            r = reduced_annular_of(g, order)
+            digest.update(r.to_json().encode())
+            digest.update(canonical_code(r).encode())
+    assert digest.hexdigest() == "b69e919c008455624f8479fa2beaf6b05757b170f75b8524f2e2b3c276a0ea0c"
+
+
+def test_conjugacy_at_600_leaves():
+    rng = Random(59)
+
+    def element(leaves):
+        return reduce_pair(TreePair(random_tree(leaves, rng), random_tree(leaves, rng)))
+
+    g, w = element(600), element(200)
+    assert (g.leaf_count, w.leaf_count) == (534, 176)
+    h = multiply(multiply(w, g), invert(w))
+    assert are_conjugate(g, h)
+    # x0 changes the abelianisation, a conjugacy invariant
+    assert not are_conjugate(multiply(g, X0), h)
