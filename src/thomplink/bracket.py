@@ -23,7 +23,7 @@ components.
 from __future__ import annotations
 
 from .laurent import DELTA, ONE, LaurentPolynomial
-from .links import LinkDiagram
+from .links import LinkDiagram, _join
 
 __all__ = [
     "StateLimitError",
@@ -43,17 +43,6 @@ _FACTORS = {(w, k): (DELTA**k).shifted(w) for w in (1, -1) for k in range(3)}
 
 class StateLimitError(ValueError):
     """Raised when the contraction holds more states than the configured bound."""
-
-
-def _join(partner: dict[int, int], u: int, v: int) -> int:
-    """Join strand ends u and v; returns 1 if that closed a loop."""
-    if partner[u] == v:
-        del partner[u], partner[v]
-        return 1
-    a, b = partner.pop(u), partner.pop(v)
-    partner[a] = b
-    partner[b] = a
-    return 0
 
 
 def kauffman_bracket(

@@ -53,7 +53,8 @@ def _parse_element(text: str) -> TreePair:
             return TreePair.from_json(text)
         return from_word(Word.parse(text))
     except (WordSyntaxError, ValueError, KeyError, TypeError) as exc:
-        raise DomainError(f"cannot parse element {text!r}: {exc}") from exc
+        # the echo is cut short: an input can be megabytes long
+        raise DomainError(f"cannot parse element {repr(text)[:80]}: {str(exc)[:160]}") from exc
 
 
 def _element_payload(p: TreePair) -> dict:
@@ -274,9 +275,9 @@ def _add_format(p, choices=("text", "json")) -> None:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
+    try:  # ASCII digits only; int() also reads other scripts' digits
+        value = int(text) if text.isascii() and text.isdigit() else 0
+    except ValueError:  # more digits than int() converts
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")

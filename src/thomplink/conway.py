@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .links import LinkDiagram, _splice
+from .links import LinkDiagram
 
 __all__ = ["ConwayCode", "continued_fraction", "two_bridge_diagram", "MIRROR"]
 
@@ -40,7 +40,10 @@ class ConwayCode:
 
     @classmethod
     def parse(cls, text: str) -> "ConwayCode":
-        return cls(int(part) for part in text.replace(",", " ").split())
+        parts = text.replace(",", " ").split()
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(f"twist counts are written with the digits 0-9: {text[:40]!r}")
+        return cls(map(int, parts))
 
     def total_crossings(self) -> int:
         return sum(self.entries)
@@ -101,8 +104,10 @@ class _Tangle:
         self.sw, self.se = sw2, se2
 
     def numerator_closure(self) -> LinkDiagram:
-        crossings = [list(c) for c in self.crossings]
-        loops = _splice(crossings, self.nw, self.ne) + _splice(crossings, self.sw, self.se)
+        # join ne to nw and se to sw; a pair that is one arc closes a loop
+        rename = {self.ne: self.nw, self.se: self.sw}
+        crossings = [[rename.get(a, a) for a in c] for c in self.crossings]
+        loops = (self.ne == self.nw) + (self.se == self.sw)
         if MIRROR:
             crossings = [(c[1], c[2], c[3], c[0]) for c in crossings]
         return LinkDiagram(crossings, loops)

@@ -18,6 +18,8 @@ node, ``2 * (leaves - 1)`` in total, and the same link.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import compress
 
 from .pairs import TreePair
 from .tait import UPPER, TaitGraph, tait_graph
@@ -39,20 +41,15 @@ __all__ = [
 class LinkDiagram:
     """PD code plus a count of crossing-free loop components."""
 
-    __slots__ = ("crossings", "free_loops")
+    __slots__ = ("crossings", "free_loops", "_partner")
 
     def __init__(self, crossings, free_loops: int = 0):
         self.crossings = tuple(tuple(c) for c in crossings)
         self.free_loops = free_loops
-        ends: dict[object, int] = {}
         for c in self.crossings:
             if len(c) != 4:
                 raise ValueError(f"crossing {c!r} is not a 4-tuple")
-            for arc in c:
-                ends[arc] = ends.get(arc, 0) + 1
-        bad = {a: k for a, k in ends.items() if k != 2}
-        if bad:
-            raise ValueError(f"arcs without exactly two ends: {bad}")
+        self._partner = _darts(self.crossings)
         if free_loops < 0:
             raise ValueError("free loop count cannot be negative")
 
@@ -78,29 +75,51 @@ class LinkDiagram:
         return f"LinkDiagram(crossings={len(self.crossings)}, free_loops={self.free_loops})"
 
 
+def _darts(crossings) -> list[int]:
+    """The arc-end index of a PD code, which validation builds and keeps:
+    slot s of crossing c is dart 4c + s (so d ^ 2 is the opposite slot, and
+    d ^ 1 and d ^ 3 its neighbours), and ``partner[d]`` is the dart at the
+    other end of d's arc."""
+    labels = [a for c in crossings for a in c]
+    partner = [-1] * len(labels)
+    first: dict[object, int] = {}
+    for d, arc in enumerate(labels):
+        e = first.setdefault(arc, d)
+        if e != d:
+            if partner[e] >= 0:
+                raise ValueError(f"arc {arc!r} has more than two ends")
+            partner[d], partner[e] = e, d
+    if -1 in partner:
+        raise ValueError(f"arc {labels[partner.index(-1)]!r} has only one end")
+    return partner
+
+
+def _join(partner, u, v) -> int:
+    """Join strand ends u and v in ``partner`` (a list or a dict from an end
+    to the other end of its arc), leaving their own entries stale; returns 1
+    if u and v were the ends of one arc, which then closes into a loop."""
+    a, b = partner[u], partner[v]
+    if a == v:
+        return 1
+    partner[a], partner[b] = b, a
+    return 0
+
+
 def component_count(d: LinkDiagram) -> int:
     """Number of link components (strands traced through crossings + loops)."""
-    ends: dict[object, list[tuple[int, int]]] = {}
-    for ci, c in enumerate(d.crossings):
-        for slot, arc in enumerate(c):
-            ends.setdefault(arc, []).append((ci, slot))
-    seen: set[tuple[int, int]] = set()
-    comps = 0
-    for ci, c in enumerate(d.crossings):
-        for s in range(4):
-            if (ci, s) in seen:
-                continue
-            comps += 1
-            dart = (ci, s)
-            while dart not in seen:
-                seen.add(dart)
-                ci2, s2 = dart
-                out = (ci2, (s2 + 2) % 4)  # pass straight through the crossing
-                seen.add(out)
-                arc = d.crossings[ci2][out[1]]
-                e1, e2 = ends[arc]
-                dart = e2 if e1 == out else e1
-    return comps + d.free_loops
+    partner = d._partner
+    seen = [False] * len(partner)
+    comps = d.free_loops
+    for start in range(len(partner)):
+        if seen[start]:
+            continue
+        comps += 1
+        dart = start
+        while not seen[dart]:
+            # pass straight through the crossing, then along the arc
+            seen[dart] = seen[dart ^ 2] = True
+            dart = partner[dart ^ 2]
+    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -229,95 +248,61 @@ class SimplificationReport:
     r2_moves: int
 
 
-def _splice(crossings: list[list], u, v) -> int:
-    """Join arcs u and v into one strand; returns 1 if a free loop closed up."""
-    if u == v:
-        return 1
-    for c in crossings:
-        for s in range(4):
-            if c[s] == v:
-                c[s] = u
-    return 0
-
-
-def _find_r1(crossings: list[list]):
-    for ci, c in enumerate(crossings):
-        for s in range(4):
-            if c[s] == c[(s + 1) % 4]:
-                return ci, s
-    return None
-
-
-def _find_r2(crossings: list[list]):
-    ends: dict[object, list[tuple[int, int]]] = {}
-    for ci, c in enumerate(crossings):
-        for s, a in enumerate(c):
-            ends.setdefault(a, []).append((ci, s))
-    for a, spots in ends.items():
-        (c1, s1), (c2, s2) = spots
-        if c1 == c2 or s1 % 2 == 0 or s2 % 2 == 0:
-            continue  # want an arc that is an overstrand end at two crossings
-        for da, db in ((1, -1), (-1, 1)):
-            b1 = crossings[c1][(s1 + da) % 4]
-            b2 = crossings[c2][(s2 + db) % 4]
-            if b1 != b2:
-                continue
-            # b must be the understrand at both crossings; since it sits next
-            # to an over end its slots are even automatically.
-            return a, (c1, s1), (c2, s2), b1, ((s1 + da) % 4, (s2 + db) % 4)
-    return None
-
-
 def simplify(d: LinkDiagram) -> SimplificationReport:
     """Greedy crossing-reducing cleanup.
 
-    Repeatedly removes kinks (a crossing with a repeated arc label at
+    Repeatedly removes kinks (a crossing holding both ends of an arc at
     adjacent slots) and cancelling clasp pairs (two crossings joined by two
     parallel arcs, one arc over at both and the other under at both, forming
-    a bigon), then counts components that have become crossing-free as free
-    loops.  Crossing count strictly decreases, so this terminates.
+    a bigon), counting components that become crossing-free as free loops.
+    The move taken is a kink at the first crossing that has one, else the
+    clasp whose over arc has the least lesser dart.  Candidates wait in two
+    lazy min-heaps; a move changes only the arcs it joins, so only the
+    crossings and arcs at their ends are pushed again.  The survivors keep
+    their order, each arc labelled by its lesser dart.
     """
-    crossings = [list(c) for c in d.crossings]
-    loops = d.free_loops
-    removed = 0
-    r1 = r2 = 0
-    while True:
-        hit = _find_r1(crossings)
-        if hit is not None:
-            ci, s = hit
-            c = crossings[ci]
-            u, v = c[(s + 2) % 4], c[(s + 3) % 4]
-            del crossings[ci]
-            closed = _splice(crossings, u, v)
-            loops += closed
-            removed += closed
+    partner = list(d._partner)
+    alive = [True] * len(d.crossings)
+    # x ^ y is 1 or 3 for darts at neighbouring slots of one crossing
+    kinks = [x >> 2 for x, y in enumerate(partner) if x ^ y | 2 == 3]
+    clasps = [x for x in range(1, len(partner), 2) if partner[x] & 1 and partner[x] >> 2 > x >> 2]
+    removed = r1 = r2 = 0
+    while kinks or clasps:
+        if kinks:
+            c = heappop(kinks)
+            x = next((x for x in range(4 * c, 4 * c + 4) if x ^ partner[x] | 2 == 3), None)
+            if not alive[c] or x is None:
+                continue
+            # the arc at x returns at a neighbouring slot: join the other two
+            alive[c] = False
+            joins = ((x ^ 2, partner[x] ^ 2),)
             r1 += 1
-            continue
-        hit = _find_r2(crossings)
-        if hit is not None:
-            a, (c1, s1), (c2, s2), b, (t1, t2) = hit
-            u = crossings[c1][(s1 + 2) % 4]
-            z = crossings[c2][(s2 + 2) % 4]
-            v = crossings[c1][(t1 + 2) % 4]
-            w = crossings[c2][(t2 + 2) % 4]
-            for ci in sorted((c1, c2), reverse=True):
-                del crossings[ci]
-            closed = _splice(crossings, u, z)
-            if closed:
-                loops += 1
-                removed += 1
-            else:
-                if v == z:
-                    v = u
-                if w == z:
-                    w = u
-            closed = _splice(crossings, v, w)
-            loops += closed
-            removed += closed
+        else:
+            x = heappop(clasps)
+            y = partner[x]
+            # the over arc x-y and an under arc u-v bound a bigon; for odd
+            # darts x ^ 3 is the next slot and x ^ 1 the one before
+            u, v = (x ^ 3, y ^ 1) if partner[x ^ 3] == y ^ 1 else (x ^ 1, y ^ 3)
+            if not (alive[x >> 2] and y & 1 and y >> 2 > x >> 2 and partner[u] == v):
+                continue
+            alive[x >> 2] = alive[y >> 2] = False
+            joins = ((x ^ 2, y ^ 2), (u ^ 2, v ^ 2))
             r2 += 1
-            continue
-        break
-    return SimplificationReport(LinkDiagram(crossings, loops), removed, r1, r2)
+        changed = []
+        for u, v in joins:
+            changed += (partner[u], partner[v])
+            removed += _join(partner, u, v)
+        for a in changed:  # only moves at the changed ends can be new
+            if alive[a >> 2]:
+                heappush(kinks, a >> 2)
+                for b in (a, a ^ 1, a ^ 3):
+                    if b & partner[b] & 1:
+                        heappush(clasps, min(b, partner[b]))
+    crossings = [
+        [x if x < partner[x] else partner[x] for x in range(4 * c, 4 * c + 4)]
+        for c in compress(range(len(alive)), alive)
+    ]
+    return SimplificationReport(LinkDiagram(crossings, d.free_loops + removed), removed, r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +317,8 @@ def mirror_diagram(d: LinkDiagram) -> LinkDiagram:
 
 def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     d1r = d1.relabeled()
-    shift = 0
-    for c in d1r.crossings:
-        shift = max(shift, max(c) + 1)
-    d2r = d2.relabeled()
-    moved = [tuple(a + shift for a in c) for c in d2r.crossings]
+    shift = 2 * d1r.crossing_count  # arcs of d1r, numbered from 0
+    moved = [tuple(a + shift for a in c) for c in d2.relabeled().crossings]
     return LinkDiagram(list(d1r.crossings) + moved, d1.free_loops + d2.free_loops)
 
 

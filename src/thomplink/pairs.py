@@ -43,6 +43,7 @@ __all__ = [
     "WordSyntaxError",
     "identity",
     "make_generator",
+    "MAX_WORD_LEAVES",
     "expand",
     "reduce_pair",
     "multiply",
@@ -113,10 +114,17 @@ def identity() -> TreePair:
     return TreePair(LEAF, LEAF)
 
 
+# x_i^k has i + |k| + 2 leaves and a product at most its factors' sum, so a
+# word whose sum exceeds this bound is refused before anything is built
+MAX_WORD_LEAVES = 100_000
+
+
 def make_generator(i: int) -> TreePair:
     """The generator ``x_i`` as a reduced tree pair with ``i + 3`` leaves."""
     if i < 0:
         raise ValueError("generator index must be non-negative")
+    if i + 3 > MAX_WORD_LEAVES:
+        raise ValueError(f"x_i has i + 3 leaves, more than the bound {MAX_WORD_LEAVES}")
     # i right-comb steps down to the block ((..).)
     return TreePair(tree_from_bits("10" * i + "11000"), right_comb(i + 3))
 
@@ -236,6 +244,8 @@ def from_word(w: Word | str) -> TreePair:
     """Reduced tree pair of a generator word, multiplied left to right."""
     if isinstance(w, str):
         w = Word.parse(w)
+    if sum(i + abs(e) + 2 for i, e in w.factors) > MAX_WORD_LEAVES:
+        raise ValueError(f"the word could build more than the bound of {MAX_WORD_LEAVES} leaves")
     acc = identity()
     for index, exponent in w.factors:
         gen = make_generator(index)

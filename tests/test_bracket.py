@@ -9,7 +9,6 @@ from thomplink import (
     LaurentPolynomial,
     LinkDiagram,
     StateLimitError,
-    TreePair,
     conjugate,
     direct_link,
     disjoint_union,
@@ -23,8 +22,7 @@ from thomplink import (
     tait_graph,
     two_bridge_diagram,
 )
-from thomplink.trees import random_tree
-from util import random_diagram, X0, X1
+from util import random_diagram, unreduced_pair, with_kink, X0, X1
 
 # Two-crossing clasp: closure of a two-strand braid with two equal crossings.
 HOPF = LinkDiagram([(2, 1, 3, 4), (4, 3, 1, 2)])
@@ -87,25 +85,6 @@ def test_single_signed_arc_is_a_kink():
     minus = medial_link(TaitGraph(2, (TaitEdge(0, 1, "L", -1),)))
     assert kauffman_bracket(plus) == LaurentPolynomial({3: -1})
     assert kauffman_bracket(minus) == LaurentPolynomial({-3: -1})
-
-
-def with_kink(rng: Random, d: LinkDiagram) -> LinkDiagram:
-    """Cut one arc of ``d`` and join the cut through a new crossing that
-    holds a fresh arc at two of its slots."""
-    crossings = [list(c) for c in d.relabeled().crossings]
-    top = max(max(c) for c in crossings)
-    cut, loop = top + 1, top + 2
-    c = rng.choice(crossings)
-    slot = rng.randrange(4)
-    arc, c[slot] = c[slot], cut
-    slots = [arc, cut, loop, loop]
-    rng.shuffle(slots)
-    crossings.insert(rng.randrange(len(crossings) + 1), slots)
-    return LinkDiagram(crossings, d.free_loops)
-
-
-def unreduced_pair(rng: Random, leaves: int) -> TreePair:
-    return TreePair(random_tree(leaves, rng), random_tree(leaves, rng))
 
 
 def fuzz_diagrams(rng: Random, count: int):

@@ -110,6 +110,10 @@ def test_domain_errors_exit_1(capsys):
         (["oracle", "two-bridge", "1,1", "--max-crossings", "-3"], 2),
         (["oracle", "two-bridge", "1,1", "--max-crossings", "0"], 2),
         (["element", "parse", "x\u0663"], 1),  # an Arabic-Indic digit
+        (["experiment", "thm1", "--n", "\u0663"], 2),
+        (["oracle", "two-bridge", "\u0663,1"], 1),
+        (["element", "parse", "x99999999999999999999"], 1),  # past the word size bound
+        (["element", "parse", "x0^99999999999999999999"], 1),
     ],
 )
 def test_bad_input_fails_without_traceback(argv, status):
@@ -159,9 +163,15 @@ def _mutate(rng, text):
     return "".join(chars)
 
 
+def _beyond(rng, value):
+    """``value``, or now and then a number past the word size bound that
+    stays past it when mutation deletes digits from it."""
+    return rng.choice([10**9, -(10**9), 10**20]) if rng.random() < 0.03 else value
+
+
 def _word(rng, max_index, max_exponent):
     tokens = [
-        f"x{rng.randint(0, max_index)}^{rng.randint(-max_exponent, max_exponent)}"
+        f"x{abs(_beyond(rng, rng.randint(0, max_index)))}^{_beyond(rng, rng.randint(-max_exponent, max_exponent))}"
         for _ in range(rng.randint(0, 3))
     ]
     return _mutate(rng, " ".join(tokens))
@@ -193,8 +203,9 @@ def _option(rng, valid, invalid):
 
 def _fuzz_argv(rng):
     """One command line with malformed words, tree JSON and sizes; exponents
-    stay at 1,000 or below (x0^k is a (k + 2)-leaf tree pair) and the
-    elements that reach a link or bracket stay small."""
+    stay at 1,000 or below (x0^k is a (k + 2)-leaf tree pair) unless they are
+    drawn past the word size bound, and the elements that reach a link or
+    bracket stay small."""
     fmt = ["--format", _option(rng, ["text", "json"], "xml")]
     commands = [
         ["element", rng.choice(["parse", "reduce", "inv", "word"]), _element(rng, 20, 1000)] + fmt,
@@ -224,6 +235,13 @@ def test_fuzzed_input_never_crashes(capsys):
         err = capsys.readouterr().err
         assert status in (0, 1, 2), argv
         assert (status == 0) == ("error:" not in err), argv
+
+
+def test_error_lines_do_not_echo_whole_inputs(capsys):
+    for text in ('{"source": ' + "[" * 100000, "x" + "y" * 100000, '{"source": "1' + "0" * 100000 + '", "target": "0"}'):
+        assert main(["element", "parse", text]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse element ") and len(err) < 300, err[:300]
 
 
 def test_usage_errors_exit_2():

@@ -26,6 +26,9 @@ def test_code_validation():
     with pytest.raises(ValueError):
         ConwayCode([-2])
     assert ConwayCode.parse("1, 2, 3").entries == (1, 2, 3)
+    for bad in ("\u0663,1", "1,+2", "1,-2", "1,2.0", "1,\u00b2"):  # Arabic-Indic 3, superscript 2
+        with pytest.raises(ValueError):
+            ConwayCode.parse(bad)
     assert str(ConwayCode([1, 1])) == "C(1,1)"
 
 

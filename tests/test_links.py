@@ -1,23 +1,32 @@
+import hashlib
 from random import Random
 
 import pytest
 
 from thomplink import (
     LinkDiagram,
+    SimplificationReport,
     component_count,
+    conjugate,
     direct_link,
+    disjoint_union,
+    element_a,
     equivalent_up_to_units,
     expand,
     from_word,
+    g_element,
+    h_element,
+    h_sequence,
     identity,
     kauffman_bracket,
     make_generator,
     medial_link,
+    mirror_diagram,
     random_element,
     simplify,
     tait_graph,
 )
-from util import graft_element, X0
+from util import graft_element, unreduced_pair, with_kink, X0, X1
 
 
 def test_identity_diagrams():
@@ -138,3 +147,123 @@ def test_crossing_numbering_is_pinned():
     assert medial_link(tait_graph(p)).crossings == (
         (0, 2, 5, 4), (4, 3, 10, 11), (3, 6, 7, 9), (0, 8, 7, 1), (1, 6, 5, 2), (8, 11, 10, 9),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference simplifier: after every move it rescans from the first crossing
+# and renames arc labels by scanning every crossing.  Quadratic, but plainly
+# "the first kink, else the first clasp in first-appearance order".
+# ---------------------------------------------------------------------------
+
+
+def _splice(crossings, u, v):
+    if u == v:
+        return 1
+    for c in crossings:
+        for s in range(4):
+            if c[s] == v:
+                c[s] = u
+    return 0
+
+
+def _find_r1(crossings):
+    for ci, c in enumerate(crossings):
+        for s in range(4):
+            if c[s] == c[(s + 1) % 4]:
+                return ci, s
+    return None
+
+
+def _find_r2(crossings):
+    ends = {}
+    for ci, c in enumerate(crossings):
+        for s, a in enumerate(c):
+            ends.setdefault(a, []).append((ci, s))
+    for (c1, s1), (c2, s2) in ends.values():
+        if c1 == c2 or s1 % 2 == 0 or s2 % 2 == 0:
+            continue
+        for da, db in ((1, -1), (-1, 1)):
+            if crossings[c1][(s1 + da) % 4] == crossings[c2][(s2 + db) % 4]:
+                return (c1, s1), (c2, s2), ((s1 + da) % 4, (s2 + db) % 4)
+    return None
+
+
+def rescan_simplify(d: LinkDiagram) -> SimplificationReport:
+    crossings = [list(c) for c in d.crossings]
+    loops, removed, r1, r2 = d.free_loops, 0, 0, 0
+    while True:
+        hit = _find_r1(crossings)
+        if hit is not None:
+            ci, s = hit
+            c = crossings.pop(ci)
+            closed = _splice(crossings, c[(s + 2) % 4], c[(s + 3) % 4])
+            loops, removed, r1 = loops + closed, removed + closed, r1 + 1
+            continue
+        hit = _find_r2(crossings)
+        if hit is None:
+            break
+        (c1, s1), (c2, s2), (t1, t2) = hit
+        u, z = crossings[c1][(s1 + 2) % 4], crossings[c2][(s2 + 2) % 4]
+        v, w = crossings[c1][(t1 + 2) % 4], crossings[c2][(t2 + 2) % 4]
+        del crossings[c2], crossings[c1]  # c1 < c2
+        closed = _splice(crossings, u, z)
+        if not closed:
+            v, w = (u if v == z else v), (u if w == z else w)
+        closed += _splice(crossings, v, w)
+        loops, removed, r2 = loops + closed, removed + closed, r2 + 1
+    return SimplificationReport(LinkDiagram(crossings, loops), removed, r1, r2)
+
+
+def _outcome(rep: SimplificationReport):
+    return rep.diagram.relabeled().crossings, rep.diagram.free_loops, rep.removed_unknots, rep.r1_moves, rep.r2_moves
+
+
+def simplify_corpus():
+    """Seeded diagrams: direct, medial and mirrored links, unreduced pairs,
+    disjoint unions, links with kinks inserted, and the theorem families."""
+    rng = Random(70)
+    for _ in range(300):
+        p = random_element(rng, 30)
+        d = direct_link(p)
+        yield from (d, medial_link(tait_graph(p)), mirror_diagram(d))
+    for _ in range(100):
+        p = unreduced_pair(rng, rng.randint(2, 12))
+        yield direct_link(p)
+        yield medial_link(tait_graph(p))
+        d = disjoint_union(direct_link(unreduced_pair(rng, rng.randint(2, 6))), direct_link(p))
+        yield d
+        for _ in range(rng.randint(1, 4)):
+            d = with_kink(rng, d)
+        yield d
+    yield from map(direct_link, h_sequence(element_a(), 60).elements)
+    for n in range(1, 16):
+        yield direct_link(conjugate(g_element(n), X0))
+        yield direct_link(conjugate(h_element(n), X1))
+
+
+def test_simplify_matches_rescan_oracle():
+    for d in simplify_corpus():
+        assert _outcome(simplify(d)) == _outcome(rescan_simplify(d)), d
+
+
+def test_simplify_is_pinned():
+    # produced by the rescanning simplifier: the surviving crossings, their
+    # labelling and every count must stay the same
+    rng = Random(71)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        p = random_element(rng, 16) if rng.random() < 0.5 else unreduced_pair(rng, rng.randint(2, 10))
+        for d in (direct_link(p), medial_link(tait_graph(p))):
+            rep = simplify(d)
+            counts = (rep.diagram.crossing_count, rep.removed_unknots, rep.r1_moves, rep.r2_moves)
+            digest.update(f"{rep.diagram.pd_text()}|{counts}\n".encode())
+    assert digest.hexdigest() == "fce4c792c372880f35c4124ed569e51fa695713d559b3c357088c3fbd1475702"
+
+
+def test_simplify_at_1920_crossings():
+    h = h_sequence(element_a(), 240).elements[-1]
+    d = direct_link(h)
+    assert d.crossing_count == 1920
+    rep = simplify(d)
+    assert rep.diagram.crossing_count == 0
+    assert component_count(rep.diagram) == component_count(d)

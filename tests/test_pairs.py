@@ -18,6 +18,7 @@ from thomplink import (
     reduce_pair,
     to_word,
 )
+from thomplink.pairs import MAX_WORD_LEAVES
 
 
 def test_generator_shapes():
@@ -120,6 +121,19 @@ def test_from_word_basics():
     assert from_word("x0") == make_generator(0)
     assert to_word(identity()) == Word()
     assert str(to_word(make_generator(3))) == "x3"
+
+
+def test_word_size_bound():
+    # x_i^k has i + |k| + 2 leaves; a word is refused on that sum before
+    # anything is built
+    for word in (f"x0^{MAX_WORD_LEAVES - 1}", f"x0^-{MAX_WORD_LEAVES}", f"x{MAX_WORD_LEAVES}",
+                 f"x2^{MAX_WORD_LEAVES // 2} x3^-{MAX_WORD_LEAVES // 2}", "x99999999999999999999"):
+        with pytest.raises(ValueError):
+            from_word(word)
+    with pytest.raises(ValueError):
+        make_generator(MAX_WORD_LEAVES - 2)
+    assert make_generator(MAX_WORD_LEAVES - 3).leaf_count == MAX_WORD_LEAVES
+    assert from_word(f"x0^{MAX_WORD_LEAVES // 4}").leaf_count == MAX_WORD_LEAVES // 4 + 2
 
 
 def test_powers_match_repeated_multiplication():
