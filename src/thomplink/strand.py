@@ -40,9 +40,9 @@ nesting order, which is part of the isotopy class.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from functools import cmp_to_key
 from heapq import heappop, heappush
-from random import Random
 
 from .pairs import TreePair
 from .trees import node_table
@@ -287,10 +287,9 @@ class _Net:
             self.loop_tokens = [t for t in self.loop_tokens if t not in drop]
             self.cut_order = [t for t in self.cut_order if t not in drop]
 
-    def reduce(self, annular: bool, rng: Random | None = None) -> None:
+    def reduce(self, annular: bool) -> None:
         """Apply the smallest type I move, else the smallest type II, until
-        none fits; with ``rng``, a random one of the sorted type I moves
-        followed by the sorted type II moves.
+        none fits.
 
         The two lists are lazy min-heaps: a move changes only the edges it
         splices, so those edges and their source vertices are pushed as
@@ -299,24 +298,16 @@ class _Net:
         cut = _Cut(self.cut_order)
         bigons, passes = self.bigon_moves(), self.pass_moves()
         while True:
-            if rng is not None:
-                bigons = sorted({v for v in bigons if self._is_bigon(v)})
-                passes = sorted({e for e in passes if self._is_pass(e)})
-                moves = [("I", v) for v in bigons] + [("II", e) for e in passes]
-                if not moves:
-                    break
-                kind, key = rng.choice(moves)
+            while bigons and not self._is_bigon(bigons[0]):
+                heappop(bigons)
+            while passes and not self._is_pass(passes[0]):
+                heappop(passes)
+            if bigons:
+                kind, key = "I", bigons[0]
+            elif passes:
+                kind, key = "II", passes[0]
             else:
-                while bigons and not self._is_bigon(bigons[0]):
-                    heappop(bigons)
-                while passes and not self._is_pass(passes[0]):
-                    heappop(passes)
-                if bigons:
-                    kind, key = "I", bigons[0]
-                elif passes:
-                    kind, key = "II", passes[0]
-                else:
-                    break
+                break
             if kind == "I":
                 spliced = self.apply_bigon(key, cut)
             else:
@@ -338,85 +329,94 @@ class _Net:
         so an edge's dst dart carries the face on the inner side of its cut
         crossings (the flow is counterclockwise there).
         """
+        edges, kind, att = self.edges, self.kind, self.att
         face_of: dict[tuple[int, int], int] = {}
         next_face = 0
-        for start in sorted(self.edges):
+        for start in sorted(edges):
             for end in (0, 1):
-                if (start, end) in face_of:
-                    continue
                 dart = (start, end)
+                if dart in face_of:
+                    continue
                 while dart not in face_of:
                     face_of[dart] = next_face
                     eid, e = dart
-                    rec = self.edges[eid]
+                    rec = edges[eid]
                     # alpha: jump to the other end of the edge
                     vid, slot = (rec[2], rec[3]) if e == 0 else (rec[0], rec[1])
                     # sigma: rotate counterclockwise at that vertex
-                    nslot = _ROTATION[self.kind[vid]][slot]
-                    neid = self.att[(vid, nslot)]
-                    nrec = self.edges[neid]
-                    nend = 0 if (nrec[0], nrec[1]) == (vid, nslot) else 1
-                    dart = (neid, nend)
+                    nslot = _ROTATION[kind[vid]][slot]
+                    neid = att[(vid, nslot)]
+                    nrec = edges[neid]
+                    dart = (neid, 0 if nrec[0] == vid and nrec[1] == nslot else 1)
                 next_face += 1
         return face_of
 
     def component_edge_sets(self) -> list[set[int]]:
+        """Edge sets of the connected components, by least edge id; a
+        search from vertex to vertex reads each vertex's slots once."""
+        edges, kind, att = self.edges, self.kind, self.att
         seen: set[int] = set()
         comps = []
-        for eid in sorted(self.edges):
+        for eid in sorted(edges):
             if eid in seen:
                 continue
-            comp = {eid}
-            stack = [eid]
+            comp = set()
+            reached = {edges[eid][0]}
+            stack = list(reached)
             while stack:
-                rec = self.edges[stack.pop()]
-                for vid in (rec[0], rec[2]):
-                    for slot in _SLOTS[self.kind[vid]]:
-                        nxt = self.att[(vid, slot)]
-                        if nxt not in comp:
-                            comp.add(nxt)
-                            stack.append(nxt)
+                vid = stack.pop()
+                for slot in _SLOTS[kind[vid]]:
+                    nxt = att[(vid, slot)]
+                    if nxt not in comp:
+                        comp.add(nxt)
+                        rec = edges[nxt]
+                        for w in (rec[0], rec[2]):
+                            if w not in reached:
+                                reached.add(w)
+                                stack.append(w)
             seen |= comp
             comps.append(comp)
         return comps
 
     def radial_items(self, faces: dict[tuple[int, int], int]) -> list[tuple[str, object]]:
         """Components and free loops sorted innermost to outermost, given
-        the face of every dart (:meth:`_face_orbits`)."""
-        pos = {t: i for i, t in enumerate(self.cut_order)}
+        the face of every dart (:meth:`_face_orbits`).
+
+        One walk outward along the cut gives each component the positions
+        of its own crossings and, in ``gaps``, the face of that component
+        which each stretch of the cut between them lies in: the hole face
+        before the first, the outer face after the last.
+        """
         comps = []
+        comp_of = {}
         for comp in self.component_edge_sets():
-            token_edge = {}
+            c = {"edges": comp, "cross": [], "gaps": []}
+            comps.append(c)
             for eid in comp:
-                for t in self.edges[eid][4]:
-                    token_edge[t] = eid
-            if not token_edge:
+                comp_of[eid] = c
+        owner = {t: eid for eid, rec in self.edges.items() for t in rec[4]}
+        pos = {}
+        for i, t in enumerate(self.cut_order):
+            pos[t] = i
+            if t not in owner:
+                continue
+            eid = owner[t]
+            c = comp_of[eid]
+            if not c["gaps"]:
+                c["gaps"].append(faces[(eid, 1)])  # the hole face of this component
+            elif c["gaps"][-1] != faces[(eid, 1)]:
+                raise AssertionError("cut walk out of step with faces")
+            c["cross"].append(i)
+            c["gaps"].append(faces[(eid, 0)])
+        for c in comps:
+            if not c["cross"]:
                 raise AssertionError("a component must wind around the hole")
-            ordered = sorted(token_edge, key=pos.get)
-            inner_e = token_edge[ordered[0]]
-            outer_e = token_edge[ordered[-1]]
-            # walk the cut outward: which face of this component each gap
-            # between consecutive global tokens belongs to
-            gap_face = []
-            current = faces[(inner_e, 1)]  # the hole face of this component
-            for t in self.cut_order:
-                gap_face.append(current)
-                if t in token_edge:
-                    eid = token_edge[t]
-                    if current != faces[(eid, 1)]:
-                        raise AssertionError("cut walk out of step with faces")
-                    current = faces[(eid, 0)]
-            if current != faces[(outer_e, 0)]:
+            outer_e = owner[self.cut_order[c["cross"][-1]]]
+            if c["gaps"][-1] != faces[(outer_e, 0)]:
                 raise AssertionError("cut walk must end in the outer face")
-            comps.append(
-                {
-                    "edges": comp,
-                    "min_pos": pos[ordered[0]],
-                    "hole": faces[(inner_e, 1)],
-                    "outer": faces[(outer_e, 0)],
-                    "gap_face": gap_face,
-                }
-            )
+            c["min_pos"] = c["cross"][0]
+            c["hole"] = c["gaps"][0]
+            c["outer"] = c["gaps"][-1]
 
         items = [("component", c) for c in comps]
         items += [("loop", t) for t in self.loop_tokens]
@@ -425,7 +425,7 @@ class _Net:
             return item[1]["min_pos"] if item[0] == "component" else pos[item[1]]
 
         def inside(item, comp) -> bool:
-            return comp["gap_face"][item_pos(item)] == comp["hole"]
+            return comp["gaps"][bisect_left(comp["cross"], item_pos(item))] == comp["hole"]
 
         def cmp(a, b) -> int:
             if a is b:
@@ -467,19 +467,36 @@ class _Net:
 
     # -- canonical form -------------------------------------------------------
 
+    def _entry(self, vid: int, edge_ix: dict[int, int], edge_order: list[int]) -> tuple:
+        """The entry of ``vid`` in a walk: its kind and the numbers of its
+        slot edges in slot order, numbering the unnumbered ones on from
+        ``len(edge_order)``."""
+        kind = self.kind[vid]
+        ixs = []
+        for slot in _SLOTS[kind]:
+            nxt = self.att[(vid, slot)]
+            ix = edge_ix.get(nxt)
+            if ix is None:
+                ix = edge_ix[nxt] = len(edge_order)
+                edge_order.append(nxt)
+            ixs.append(ix)
+        return (kind, tuple(ixs))
+
     def _min_signature(self, starts: list[int], marks: tuple[list, list]) -> tuple:
         """Least signature over ``starts``.
 
-        Walks from every start advance in lockstep, one vertex entry at a
-        time, and only those holding the least entry go on, so a start
-        costs about the length of its common prefix with the winner.  Two
-        walks with equal signatures pair their edge orders into an
-        automorphism of the marked, embedded diagram, under which every
-        signature is invariant: at k = 1, 2, 4, ... the first two walks
-        are compared in full, the greater is dropped, and on a tie the
-        paired edges are joined in a union-find and each class keeps one
-        walk.  Symmetric diagrams such as the annular closure of x0^n thus
-        cost a few whole walks, not one per start.
+        Only the starts with the least first entry get a walk.  Those walks
+        advance in lockstep, one vertex entry at a time, and only those
+        holding the least entry go on, so a start costs about the length
+        of its common prefix with the winner.  Two walks with equal
+        signatures pair their edge orders into an automorphism of the
+        marked, embedded diagram, under which every signature is
+        invariant: at k = 1, 2, 4, ... the first two walks are compared
+        entry by entry and the greater is dropped at the first difference;
+        when every vertex entry ties, windings and marks decide, and on a
+        whole tie the paired edges are joined in a union-find and each
+        class keeps one walk.  Symmetric diagrams such as the annular
+        closure of x0^n thus cost a few whole walks, not one per start.
         """
         parent = {e: e for e in starts}
 
@@ -489,9 +506,15 @@ class _Net:
                 e = parent[e]
             return e
 
-        def settle(walks: list[_Walk]) -> list[_Walk]:
+        def settle(walks: list[_Walk], k: int) -> list[_Walk]:
+            """Settle the first two walks, whose entries before k tie."""
             first, second = walks[0], walks[1]
-            a, b = first.signature(marks), second.signature(marks)
+            a, b = first.entry(k), second.entry(k)
+            while a == b and a is not None:
+                k += 1
+                a, b = first.entry(k), second.entry(k)
+            if a is None:  # one component: both walks end together
+                a, b = first.signature(marks), second.signature(marks)
             if a != b:
                 return [first if a < b else second] + walks[2:]
             for x, y in zip(first.edge_order, second.edge_order):
@@ -505,17 +528,22 @@ class _Net:
                     out.append(walk)
             return out
 
-        walks = [_Walk(self, start) for start in starts]
-        k = 0
+        # a walk's first entry is that of the head of its start edge
+        firsts = [self._entry(self.edges[e][2], {e: 0}, [e]) for e in starts]
+        least = min(firsts)
+        walks = [_Walk(self, start) for start, e in zip(starts, firsts) if e == least]
+        k = 1
+        if len(walks) > 1:
+            walks = settle(walks, k)
         while len(walks) > 1 and walks[0].entry(k) is not None:
             entries = [walk.entry(k) for walk in walks]
             least = min(entries)
             walks = [walk for walk, e in zip(walks, entries) if e == least]
             k += 1
             if k & (k - 1) == 0 and len(walks) > 1:
-                walks = settle(walks)
+                walks = settle(walks, k)
         while len(walks) > 1:  # equal vertex entries: windings and marks decide
-            walks = settle(walks)
+            walks = settle(walks, k)
         return walks[0].signature(marks)
 
     def canonical_form(self) -> tuple:
@@ -569,19 +597,9 @@ class _Walk:
             elif dst_v in psi and src_v not in psi:
                 psi[src_v] = psi[dst_v] - w
             for vid in (dst_v, src_v):
-                if vid in self.seen:
-                    continue
-                self.seen.add(vid)
-                kind = net.kind[vid]
-                ixs = []
-                for slot in _SLOTS[kind]:
-                    nxt = net.att[(vid, slot)]
-                    ix = edge_ix.get(nxt)
-                    if ix is None:
-                        ix = edge_ix[nxt] = len(edge_order)
-                        edge_order.append(nxt)
-                    ixs.append(ix)
-                self.verts.append((kind, tuple(ixs)))
+                if vid not in self.seen:
+                    self.seen.add(vid)
+                    self.verts.append(net._entry(vid, edge_ix, edge_order))
         return self.verts[k] if k < len(self.verts) else None
 
     def signature(self, marks: tuple[list, list] | None) -> tuple:
@@ -772,16 +790,16 @@ def concatenate(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
     return StrandDiagram(net, a._source, b._sink + offset_v)
 
 
-def annular_closure(s: StrandDiagram) -> AnnularStrandDiagram:
-    """Identify top and bottom; the gluing edge crosses the cut once."""
-    net = s._net.copy()
-    se = net.att[(s._source, "out")]
-    te = net.att[(s._sink, "in")]
+def _close(net: _Net, source: int, sink: int) -> AnnularStrandDiagram:
+    """:func:`annular_closure` of the diagram that ``net`` holds, made in
+    place."""
+    se = net.att[(source, "out")]
+    te = net.att[(sink, "in")]
     token = net.new_token()
     net.cut_order = [token]
     if se == te:
-        net._remove_vertex(s._source)
-        net._remove_vertex(s._sink)
+        net._remove_vertex(source)
+        net._remove_vertex(sink)
         net._drop_edge(se)
         net.loop_tokens.append(token)
         return AnnularStrandDiagram(net)
@@ -791,19 +809,22 @@ def annular_closure(s: StrandDiagram) -> AnnularStrandDiagram:
     dst = (top_rec[2], top_rec[3])
     net._drop_edge(se)
     net._drop_edge(te)
-    net._remove_vertex(s._source)
-    net._remove_vertex(s._sink)
+    net._remove_vertex(source)
+    net._remove_vertex(sink)
     net.add_edge(src[0], src[1], dst[0], dst[1], [token])
     return AnnularStrandDiagram(net)
 
 
-def reduce_annular(
-    a: AnnularStrandDiagram, rng: Random | None = None
-) -> AnnularStrandDiagram:
+def annular_closure(s: StrandDiagram) -> AnnularStrandDiagram:
+    """Identify top and bottom; the gluing edge crosses the cut once."""
+    return _close(s._net.copy(), s._source, s._sink)
+
+
+def reduce_annular(a: AnnularStrandDiagram) -> AnnularStrandDiagram:
     """Apply reductions until none fits; the result does not depend on the
     order (asserted empirically by the order-fuzzing suite)."""
     net = a._net.copy()
-    net.reduce(annular=True, rng=rng)
+    net.reduce(annular=True)
     return AnnularStrandDiagram(net)
 
 
@@ -818,11 +839,12 @@ def component_count(a: AnnularStrandDiagram) -> int:
 
 
 def annular_of(p: TreePair) -> AnnularStrandDiagram:
-    return annular_closure(strand_from_pair(p))
+    s = strand_from_pair(p)
+    return _close(s._net, s._source, s._sink)
 
 
-def reduced_annular_of(p: TreePair, rng: Random | None = None) -> AnnularStrandDiagram:
-    return reduce_annular(annular_of(p), rng)
+def reduced_annular_of(p: TreePair) -> AnnularStrandDiagram:
+    return reduce_annular(annular_of(p))
 
 
 def are_conjugate(g: TreePair, h: TreePair) -> bool:

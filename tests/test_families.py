@@ -20,6 +20,7 @@ from thomplink import (
     to_word,
     tree_T,
 )
+from thomplink.families import _fast_conjugate_shape
 from thomplink.trees import split_along
 from util import X0, X1
 
@@ -99,11 +100,11 @@ def test_conjugate_basics():
 
 
 def test_conjugate_fast_path_consistency():
-    # the caret-attachment description is asserted inside conjugate(); the
-    # x1 case exercises the second-leaf rule
-    for n in range(1, 4):
-        conjugate(h_element(n), X1)
-        conjugate(g_element(n), X1)
-    g = multiply(X0, make_generator(2))  # positive, not of the g_n shape
-    conjugate(g, X0)
-    conjugate(g, X1)
+    # the caret-attachment description of g x_i g^-1 for positive g, against
+    # the product itself; the x1 case exercises the second-leaf rule
+    positive = [multiply(X0, make_generator(2))]  # not of the g_n or h_n shape
+    for n in range(1, 9):
+        positive += [g_element(n), h_element(n)]
+    for g in positive:
+        for index, x in enumerate((X0, X1)):
+            assert equals(_fast_conjugate_shape(g, index), multiply(multiply(g, x), invert(g)))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from functools import cmp_to_key
 from random import Random
 
 from thomplink import (
@@ -10,7 +11,9 @@ from thomplink import (
     are_conjugate,
     canonical_code,
     concatenate,
+    element_a,
     from_word,
+    h_sequence,
     identity,
     invert,
     make_generator,
@@ -20,9 +23,9 @@ from thomplink import (
     reduce_pair,
     strand_from_pair,
 )
-from thomplink.strand import _SLOTS, _Cut, _format_code, annular_of, reduced_annular_of
+from thomplink.strand import _SLOTS, _format_code, annular_of, reduced_annular_of
 from thomplink.trees import random_tree
-from util import X0, X1
+from util import X0, X1, rescan_reduced
 
 
 def reference_signature(net, start, marks):
@@ -84,22 +87,52 @@ def reference_code(a):
     return _format_code(tuple(items), a.free_loops)
 
 
-def rescan_reduced(a, rng=None):
-    """Reduction that rescans every vertex and edge for moves after each one."""
-    net = a._net.copy()
-    cut = _Cut(net.cut_order)
-    while True:
-        moves = [("I", v) for v in net.bigon_moves()] + [("II", e) for e in net.pass_moves()]
-        if not moves:
-            break
-        kind, key = rng.choice(moves) if rng is not None else moves[0]
-        if kind == "I":
-            net.apply_bigon(key, cut)
-        else:
-            net.apply_pass(key, cut)
-    net.cut_order = cut.tokens()
-    net.merge_parallel_loops()
-    return AnnularStrandDiagram(net)
+def reference_radial_items(net, faces):
+    """Components and free loops innermost first, walking the whole cut
+    once per component to find the component's face at every position."""
+    pos = {t: i for i, t in enumerate(net.cut_order)}
+    comps = []
+    for comp in net.component_edge_sets():
+        token_edge = {t: eid for eid in comp for t in net.edges[eid][4]}
+        ordered = sorted(token_edge, key=pos.get)
+        gap_face = []
+        current = hole = faces[(token_edge[ordered[0]], 1)]
+        for t in net.cut_order:
+            gap_face.append(current)
+            if t in token_edge:
+                assert current == faces[(token_edge[t], 1)]
+                current = faces[(token_edge[t], 0)]
+        comps.append({"edges": comp, "min_pos": pos[ordered[0]], "hole": hole,
+                      "outer": current, "gap_face": gap_face})
+
+    def item_pos(item):
+        return item[1]["min_pos"] if item[0] == "component" else pos[item[1]]
+
+    def inside(item, comp):
+        return comp["gap_face"][item_pos(item)] == comp["hole"]
+
+    def cmp(a, b):
+        if a is b:
+            return 0
+        if a[0] == "loop" and b[0] == "loop":
+            return -1 if item_pos(a) < item_pos(b) else 1
+        if b[0] == "component" and inside(a, b[1]):
+            return -1
+        if a[0] == "component" and inside(b, a[1]):
+            return 1
+        assert a[0] != b[0], "disjoint winding components must nest"
+        return 1 if a[0] == "loop" else -1
+
+    items = [("component", c) for c in comps] + [("loop", t) for t in net.loop_tokens]
+    return sorted(items, key=cmp_to_key(cmp))
+
+
+def radial_summary(items):
+    return [
+        (kind, sorted(payload["edges"]), payload["hole"], payload["outer"])
+        if kind == "component" else (kind, payload)
+        for kind, payload in items
+    ]
 
 
 def test_identity_strand_and_closure():
@@ -200,7 +233,7 @@ def test_reduction_order_confluence():
         g = random_element(rng, 8)
         base = canonical_code(reduced_annular_of(g))
         for j in range(6):
-            assert canonical_code(reduced_annular_of(g, Random(900 + j))) == base
+            assert canonical_code(rescan_reduced(annular_of(g), Random(900 + j))) == base
 
 
 def test_reduced_input_unchanged():
@@ -279,12 +312,14 @@ def test_fast_engine_matches_exhaustive_references():
     elements = [random_element(rng, 70) for _ in range(300)]
     for n in range(1, 25):
         elements += [from_word(f"x0^{n}"), from_word(f"x1^{n}"), from_word("x0 x1 " * n)]
+        # near ties: one factor breaks the symmetry of a power
+        elements += [from_word(f"x0^{n} x1"), from_word(f"x1^{n} x0^-1"), from_word("x0 x1 " * n + "x2")]
     for i, g in enumerate(elements):
         a = annular_of(g)
         r = reduce_annular(a)
         assert r.to_json() == rescan_reduced(a).to_json()
-        assert reduce_annular(a, Random(i)).to_json() == rescan_reduced(a, Random(i)).to_json()
         assert canonical_code(r) == reference_code(r)
+        assert canonical_code(rescan_reduced(a, Random(i))) == canonical_code(r)
 
 
 def test_reduction_and_codes_are_pinned():
@@ -295,11 +330,29 @@ def test_reduction_and_codes_are_pinned():
     digest = hashlib.sha256()
     for i in range(200):
         g = random_element(rng, 60)
-        for order in (None, Random(i)):
-            r = reduced_annular_of(g, order)
+        for r in (reduced_annular_of(g), rescan_reduced(annular_of(g), Random(i))):
             digest.update(r.to_json().encode())
             digest.update(canonical_code(r).encode())
     assert digest.hexdigest() == "b69e919c008455624f8479fa2beaf6b05757b170f75b8524f2e2b3c276a0ea0c"
+
+
+def test_radial_order_matches_whole_cut_walk():
+    # wrapped elements, whose component count grows with n, and nets
+    # reduced by types I and II only, so that runs of free loops are still
+    # there for type III
+    nets = [reduced_annular_of(h)._net for h in h_sequence(element_a(), 60).elements]
+    rng = Random(62)
+    loops = 0
+    while loops < 300:
+        net = annular_of(random_element(rng, 30))._net
+        net.reduce(annular=False)
+        if net.loop_tokens:
+            nets.append(net)
+            loops += 1
+    for net in nets:
+        faces = net._face_orbits()
+        got = radial_summary(net.radial_items(faces))
+        assert got == radial_summary(reference_radial_items(net, faces))
 
 
 def test_conjugacy_at_600_leaves():
@@ -313,4 +366,17 @@ def test_conjugacy_at_600_leaves():
     h = multiply(multiply(w, g), invert(w))
     assert are_conjugate(g, h)
     # x0 changes the abelianisation, a conjugacy invariant
+    assert not are_conjugate(multiply(g, X0), h)
+
+
+def test_conjugacy_at_8000_leaves():
+    rng = Random(63)
+
+    def element(leaves):
+        return reduce_pair(TreePair(random_tree(leaves, rng), random_tree(leaves, rng)))
+
+    g, w = element(8000), element(200)
+    assert (g.leaf_count, w.leaf_count) == (7008, 167)
+    h = multiply(multiply(w, g), invert(w))
+    assert are_conjugate(g, h)
     assert not are_conjugate(multiply(g, X0), h)

@@ -3,12 +3,14 @@
 from random import Random
 
 from thomplink import (
+    AnnularStrandDiagram,
     LinkDiagram,
     TreePair,
     direct_link,
     make_generator,
     random_element,
 )
+from thomplink.strand import _Cut
 from thomplink.trees import graft, random_tree
 
 
@@ -34,6 +36,26 @@ def with_kink(rng: Random, d: LinkDiagram) -> LinkDiagram:
     rng.shuffle(slots)
     crossings.insert(rng.randrange(len(crossings) + 1), slots)
     return LinkDiagram(crossings, d.free_loops)
+
+
+def rescan_reduced(a, rng=None):
+    """Reduction that rescans every vertex and edge for moves after each one;
+    with ``rng``, it applies a random one of the sorted type I moves followed
+    by the sorted type II moves."""
+    net = a._net.copy()
+    cut = _Cut(net.cut_order)
+    while True:
+        moves = [("I", v) for v in net.bigon_moves()] + [("II", e) for e in net.pass_moves()]
+        if not moves:
+            break
+        kind, key = rng.choice(moves) if rng is not None else moves[0]
+        if kind == "I":
+            net.apply_bigon(key, cut)
+        else:
+            net.apply_pass(key, cut)
+    net.cut_order = cut.tokens()
+    net.merge_parallel_loops()
+    return AnnularStrandDiagram(net)
 
 
 def random_diagram(rng: Random, max_leaves: int = 8) -> LinkDiagram:
