@@ -2,7 +2,7 @@
 Kauffman brackets, and annular-strand-diagram conjugacy testing."""
 
 from .bracket import StateLimitError, equivalent_up_to_units, kauffman_bracket
-from .conway import MIRROR, ConwayCode, continued_fraction, two_bridge_diagram
+from .conway import ConwayCode, continued_fraction, two_bridge_diagram
 from .families import (
     Hsequence,
     attach_a,

@@ -220,7 +220,7 @@ def _cmd_experiment_thm2(args) -> int:
         rep = simplify(link_of(c, "direct"))
         br = kauffman_bracket(rep.diagram, args.max_states)
         code = ConwayCode([1] * (2 * n))
-        oracle = kauffman_bracket(two_bridge_diagram(code, 2 * n))
+        oracle = kauffman_bracket(two_bridge_diagram(code))
         if gen_index == 0:
             match = equivalent_up_to_units(br, oracle, 4)
             target = str(code)
@@ -250,9 +250,9 @@ def _cmd_experiment_thm2(args) -> int:
 def _cmd_oracle(args) -> int:
     try:
         code = ConwayCode.parse(args.code)
-        d = two_bridge_diagram(code, args.max_crossings)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
+    d = two_bridge_diagram(code)
     p, q = continued_fraction(code)
     br = kauffman_bracket(d)
     if args.format == "json":
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     osub = po.add_subparsers(dest="oracle", required=True)
     ob = osub.add_parser("two-bridge", help="4-plat for a Conway code like 1,1,1,1")
     ob.add_argument("code")
-    ob.add_argument("--max-crossings", type=_positive_int, default=24)
     _add_format(ob, ("text", "json", "pd"))
     ob.set_defaults(func=_cmd_oracle)
 

@@ -8,9 +8,10 @@ regions.  The code is normalized internally to odd length using
 and the crossing number while letting the tangle be assembled inside-out:
 the last region horizontally on the 0-tangle, then alternating vertical /
 horizontal regions, ending with the integer part c_1 horizontal.  Region
-handedness is fixed so the resulting diagram is alternating; MIRROR flips
-the global chirality and is pinned by the theorem-reproduction experiment
-that matches these oracles against conjugate-generator links.
+handedness is fixed so the resulting diagram is alternating; its global
+chirality, with the "/" overstrand in east twist regions, is pinned by the
+theorem-reproduction experiment that matches these oracles against
+conjugate-generator links.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from __future__ import annotations
 from math import gcd
 
 from .links import LinkDiagram
+from .pairs import MAX_WORD_LEAVES
 
-__all__ = ["ConwayCode", "continued_fraction", "two_bridge_diagram", "MIRROR"]
-
-# False: east twist regions carry the "/" overstrand as built below.
-MIRROR = False
+__all__ = ["ConwayCode", "continued_fraction", "two_bridge_diagram"]
 
 
 class ConwayCode:
@@ -43,7 +42,15 @@ class ConwayCode:
         parts = text.replace(",", " ").split()
         if not all(part.isascii() and part.isdigit() for part in parts):
             raise ValueError(f"twist counts are written with the digits 0-9: {text[:40]!r}")
-        return cls(map(int, parts))
+        code = cls(map(int, parts))
+        # an n-leaf element's direct link has 2(n - 1) crossings, so codes
+        # are bounded as words are
+        if code.total_crossings() > 2 * MAX_WORD_LEAVES:
+            raise ValueError(
+                f"the code has {code.total_crossings()} crossings, more than the bound "
+                f"of {2 * MAX_WORD_LEAVES}"
+            )
+        return code
 
     def total_crossings(self) -> int:
         return sum(self.entries)
@@ -108,21 +115,15 @@ class _Tangle:
         rename = {self.ne: self.nw, self.se: self.sw}
         crossings = [[rename.get(a, a) for a in c] for c in self.crossings]
         loops = (self.ne == self.nw) + (self.se == self.sw)
-        if MIRROR:
-            crossings = [(c[1], c[2], c[3], c[0]) for c in crossings]
         return LinkDiagram(crossings, loops)
 
 
-def two_bridge_diagram(code: ConwayCode, max_crossings: int = 24) -> LinkDiagram:
+def two_bridge_diagram(code: ConwayCode) -> LinkDiagram:
     """Alternating 4-plat diagram of the 2-bridge link for ``code``.
 
     The component count of the result is 1 when the fraction numerator p is
     odd and 2 when p is even.
     """
-    if code.total_crossings() > max_crossings:
-        raise ValueError(
-            f"{code} has {code.total_crossings()} crossings, exceeding {max_crossings}"
-        )
     entries = _odd_normalized(code.entries)
     tangle = _Tangle()
     for pos in range(len(entries) - 1, -1, -1):

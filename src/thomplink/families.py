@@ -16,9 +16,10 @@ them stays inside one conjugacy class while the links run through the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .pairs import TreePair, from_word, invert, multiply, reduce_pair
-from .trees import BinaryTree, LEAF, caret, graft, right_comb
+from .trees import BinaryTree, LEAF, _tree, caret, graft, right_comb
 
 __all__ = [
     "element_a",
@@ -32,15 +33,12 @@ __all__ = [
 ]
 
 _A_WORD = "x0 x0 x0 x2^-1 x0^-1 x0^-1 x0^-1"
-_a_cached: TreePair | None = None
 
 
+@cache
 def element_a() -> TreePair:
     """The reduced 5-leaf element a = x0^3 x2^-1 x0^-3."""
-    global _a_cached
-    if _a_cached is None:
-        _a_cached = from_word(_A_WORD)
-    return _a_cached
+    return from_word(_A_WORD)
 
 
 def attach_a(p: TreePair) -> TreePair:
@@ -70,18 +68,13 @@ def h_sequence(seed: TreePair, n: int) -> Hsequence:
     return Hsequence(seed, tuple(out))
 
 
-_BLOCK = BinaryTree(caret(), LEAF)  # the grafted three-leaf block ((..).)
-
-
 def tree_T(n: int) -> BinaryTree:
-    """T_0 is the caret; T_n grafts the block onto the rightmost leaf, so
-    T_n has 2n + 2 leaves."""
+    """T_0 is the caret; T_n grafts the three-leaf block ((..).) onto the
+    rightmost leaf of T_{n-1}, so T_n has 2n + 2 leaves.  In preorder each
+    graft turns the final leaf 0 into 11000."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    t = caret()
-    for _ in range(n):
-        t = graft(t, t.leaf_count - 1, _BLOCK)
-    return t
+    return _tree("10" + "1100" * n + "0")
 
 
 def g_element(n: int) -> TreePair:

@@ -23,15 +23,14 @@ from random import Random
 from .trees import (
     LEAF,
     BinaryTree,
+    _tree,
     caret,
-    caret_positions,
     common_refinement,
     graft,
     graft_all,
     is_right_comb,
     leaf_exponents,
     random_tree,
-    remove_caret,
     right_comb,
     split_along,
     tree_from_bits,
@@ -76,7 +75,7 @@ class TreePair:
     @property
     def is_reduced(self) -> bool:
         """True when no leaf pair is a sibling caret in both trees."""
-        return not (caret_positions(self.source) & caret_positions(self.target))
+        return reduce_pair(self).leaf_count == self.leaf_count
 
     def to_json(self) -> str:
         return json.dumps({"source": self.source.bits, "target": self.target.bits})
@@ -138,15 +137,23 @@ def expand(p: TreePair, leaf_index: int) -> TreePair:
 
 
 def reduce_pair(p: TreePair) -> TreePair:
-    """The unique reduced representative of ``p``'s equivalence class."""
-    source, target = p.source, p.target
-    while True:
-        shared = caret_positions(source) & caret_positions(target)
-        if not shared:
-            return TreePair(source, target)
-        i = min(shared)
-        source = remove_caret(source, i)
-        target = remove_caret(target, i)
+    """The unique reduced representative of ``p``'s equivalence class.
+
+    One pass over the leaves keeps, for each leaf not yet removed, its run
+    of ``1`` bits in either tree.  A leaf whose runs are both empty, after
+    one whose runs are both non-empty, is the right leaf of a caret the two
+    trees share: the caret collapses into the leaf before it, which loses
+    one ``1`` from each run and is checked again.  Reduced diagrams are
+    unique, so this order gives what any other order of removals gives.
+    """
+    src: list[str] = []
+    tgt: list[str] = []
+    for s, t in zip(p.source.bits.split("0")[:-1], p.target.bits.split("0")[:-1]):
+        while not (s or t) and src and src[-1] and tgt[-1]:
+            s, t = src.pop()[:-1], tgt.pop()[:-1]
+        src.append(s)
+        tgt.append(t)
+    return TreePair(_tree("0".join(src) + "0"), _tree("0".join(tgt) + "0"))
 
 
 def multiply(p: TreePair, q: TreePair) -> TreePair:

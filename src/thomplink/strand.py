@@ -287,7 +287,7 @@ class _Net:
             self.loop_tokens = [t for t in self.loop_tokens if t not in drop]
             self.cut_order = [t for t in self.cut_order if t not in drop]
 
-    def reduce(self, annular: bool) -> None:
+    def reduce(self) -> None:
         """Apply the smallest type I move, else the smallest type II, until
         none fits.
 
@@ -316,8 +316,6 @@ class _Net:
                 heappush(passes, eid)
                 heappush(bigons, self.edges[eid][0])
         self.cut_order = cut.tokens()
-        if annular:
-            self.merge_parallel_loops()
 
     # -- embedding: faces and radial nesting --------------------------------
 
@@ -786,7 +784,7 @@ def concatenate(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
     net._remove_vertex(sink_a)
     net._remove_vertex(source_b)
     net._resolve_connectors([[ein, eout, []]])
-    net.reduce(annular=False)
+    net.reduce()
     return StrandDiagram(net, a._source, b._sink + offset_v)
 
 
@@ -824,7 +822,8 @@ def reduce_annular(a: AnnularStrandDiagram) -> AnnularStrandDiagram:
     """Apply reductions until none fits; the result does not depend on the
     order (asserted empirically by the order-fuzzing suite)."""
     net = a._net.copy()
-    net.reduce(annular=True)
+    net.reduce()
+    net.merge_parallel_loops()
     return AnnularStrandDiagram(net)
 
 

@@ -30,8 +30,6 @@ __all__ = [
     "graft",
     "graft_all",
     "split_along",
-    "caret_positions",
-    "remove_caret",
     "common_refinement",
     "leaf_exponents",
     "random_tree",
@@ -230,21 +228,6 @@ def common_refinement(a: BinaryTree, b: BinaryTree) -> BinaryTree:
             out.append("1")
             i, j = i + 1, j + 1
     return _tree("".join(out))
-
-
-def caret_positions(t: BinaryTree) -> set[int]:
-    """Indices ``i`` such that leaves ``i`` and ``i + 1`` are siblings."""
-    runs = t.bits.split("0")
-    return {i for i in range(t.leaf_count - 1) if runs[i].endswith("1") and not runs[i + 1]}
-
-
-def remove_caret(t: BinaryTree, i: int) -> BinaryTree:
-    """Collapse the caret whose leaves are ``i`` and ``i + 1`` back to a leaf."""
-    runs = t.bits.split("0")
-    if not (0 <= i < t.leaf_count - 1 and runs[i].endswith("1") and not runs[i + 1]):
-        raise ValueError(f"leaves {i}, {i + 1} are not siblings")
-    # the caret's 100 becomes the 0 of one leaf
-    return _tree("0".join(runs[:i] + [runs[i][:-1]] + runs[i + 2 :]))
 
 
 def leaf_exponents(t: BinaryTree) -> list[int]:

@@ -147,7 +147,7 @@ def test_two_bridge_families_at_38_crossings(x, base, unknots):
     n = 10
     d = simplify(direct_link(conjugate(base(n), x))).diagram
     assert d.crossing_count == 38
-    oracle = kauffman_bracket(two_bridge_diagram(ConwayCode([1] * (2 * n)), 2 * n))
+    oracle = kauffman_bracket(two_bridge_diagram(ConwayCode([1] * (2 * n))))
     assert equivalent_up_to_units(kauffman_bracket(d), oracle * DELTA**unknots, 0)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import thomplink
 from thomplink.cli import main
+from thomplink.pairs import MAX_WORD_LEAVES
 
 
 def run_child(argv, **kwargs):
@@ -107,8 +108,8 @@ def test_domain_errors_exit_1(capsys):
         (["element", "parse", '{"source":5,"target":"0"}'], 1),
         (["experiment", "thm2", "--gen", "x0", "--n", "-1"], 2),
         (["bracket", "x0", "--max-states", "-1"], 2),
-        (["oracle", "two-bridge", "1,1", "--max-crossings", "-3"], 2),
-        (["oracle", "two-bridge", "1,1", "--max-crossings", "0"], 2),
+        (["oracle", "two-bridge", "1,1", "--max-crossings", "30"], 2),  # no such option
+        (["oracle", "two-bridge", f"1,{2 * MAX_WORD_LEAVES}"], 1),  # past the code size bound
         (["element", "parse", "x\u0663"], 1),  # an Arabic-Indic digit
         (["experiment", "thm1", "--n", "\u0663"], 2),
         (["oracle", "two-bridge", "\u0663,1"], 1),
@@ -216,8 +217,8 @@ def _fuzz_argv(rng):
         ["bracket", _element(rng, 4, 3), "--max-states", rng.choice(_SIZES + ["9" * 20])],
         ["experiment", "thm1", "--n", rng.choice(_SIZES), "--seed", _word(rng, 2, 1)] + fmt,
         ["experiment", "thm2", "--gen", _option(rng, ["x0", "x1"], "x2"), "--n", rng.choice(_SIZES)],
-        ["oracle", "two-bridge", _mutate(rng, ",".join(str(rng.randint(-1, 4)) for _ in range(rng.randint(1, 3)))),
-         "--max-crossings", rng.choice(_SIZES)] + fmt,
+        ["oracle", "two-bridge", _mutate(rng, ",".join(str(rng.randint(-1, 4)) for _ in range(rng.randint(1, 3))))]
+        + fmt,
     ]
     return rng.choice(commands)
 

@@ -9,6 +9,7 @@ from thomplink import (
     kauffman_bracket,
     two_bridge_diagram,
 )
+from thomplink.pairs import MAX_WORD_LEAVES
 
 
 def fib(n: int) -> int:
@@ -50,8 +51,12 @@ def test_crossing_number_and_bound():
     for entries in ([1, 1], [2, 3], [1, 1, 1, 1]):
         code = ConwayCode(entries)
         assert two_bridge_diagram(code).crossing_count == sum(entries)
+    # a code is bounded as words are: an n-leaf element's link has 2(n - 1)
+    # crossings
+    bound = 2 * MAX_WORD_LEAVES
+    assert ConwayCode.parse(f"{bound - 1},1").total_crossings() == bound
     with pytest.raises(ValueError):
-        two_bridge_diagram(ConwayCode([20, 20]), max_crossings=24)
+        ConwayCode.parse(f"{bound - 1},2")
 
 
 def test_component_parity_matches_fraction():

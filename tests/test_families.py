@@ -21,7 +21,7 @@ from thomplink import (
     tree_T,
 )
 from thomplink.families import _fast_conjugate_shape
-from thomplink.trees import split_along
+from thomplink.trees import LEAF, BinaryTree, caret, graft, split_along
 from util import X0, X1
 
 
@@ -70,6 +70,11 @@ def test_h_sequence():
 
 def test_tree_T():
     assert tree_T(0).bits == "100"
+    # the formula equals grafting the block ((..).) onto the rightmost leaf
+    block, t = BinaryTree(caret(), LEAF), caret()
+    for n in range(31):
+        assert tree_T(n) == t, n
+        t = graft(t, t.leaf_count - 1, block)
     for n in range(6):
         assert tree_T(n).leaf_count == 2 * n + 2
     # pruning the grafted block recovers the previous tree

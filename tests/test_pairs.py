@@ -19,6 +19,8 @@ from thomplink import (
     to_word,
 )
 from thomplink.pairs import MAX_WORD_LEAVES
+from thomplink.trees import common_refinement, graft_all, split_along
+from util import rescan_reduce_pair, unreduced_pair
 
 
 def test_generator_shapes():
@@ -97,6 +99,32 @@ def test_reduce_is_retraction():
         r = reduce_pair(q)
         assert reduce_pair(r) == r
         assert equals(q, r)
+
+
+def _unreduced_product(p: TreePair, q: TreePair) -> TreePair:
+    """``p * q`` on the least common refinement, before any caret cancels."""
+    mid = common_refinement(p.target, q.source)
+    return TreePair(
+        graft_all(p.source, split_along(mid, p.target)),
+        graft_all(q.target, split_along(mid, q.source)),
+    )
+
+
+def test_reduce_matches_rescan_oracle():
+    rng = Random(15)
+    pairs = [unreduced_pair(rng, rng.randint(1, 40)) for _ in range(400)]
+    for _ in range(200):
+        q = random_element(rng, 20)
+        for _ in range(rng.randint(1, 12)):
+            q = expand(q, rng.randrange(q.leaf_count))
+        pairs.append(q)
+    for _ in range(200):
+        a, b = random_element(rng, 20), random_element(rng, 20)
+        pairs += (_unreduced_product(a, b), _unreduced_product(a, invert(a)))
+    for p in pairs:
+        r = reduce_pair(p)
+        assert r == rescan_reduce_pair(p), p
+        assert r.is_reduced
 
 
 def test_equals_examples():

@@ -345,7 +345,7 @@ def test_radial_order_matches_whole_cut_walk():
     loops = 0
     while loops < 300:
         net = annular_of(random_element(rng, 30))._net
-        net.reduce(annular=False)
+        net.reduce()
         if net.loop_tokens:
             nets.append(net)
             loops += 1

@@ -2,18 +2,17 @@ from random import Random
 
 import pytest
 
+from thomplink.pairs import TreePair, identity, reduce_pair
 from thomplink.trees import (
     LEAF,
     BinaryTree,
     caret,
-    caret_positions,
     common_refinement,
     graft_all,
     is_right_comb,
     leaf_exponents,
     node_table,
     random_tree,
-    remove_caret,
     right_comb,
     split_along,
     tree_from_bits,
@@ -63,14 +62,6 @@ def test_common_refinement_is_upper_bound():
         # m refines both: split_along must succeed
         split_along(m, a)
         split_along(m, b)
-
-
-def test_caret_positions_and_removal():
-    t = tree_from_bits("1101000")  # ((.(..)).)
-    assert caret_positions(t) == {1}
-    assert remove_caret(t, 1).bits == "11000"
-    with pytest.raises(ValueError):
-        remove_caret(t, 0)
 
 
 def test_leaf_exponents_known_values():
@@ -142,13 +133,12 @@ def test_deep_combs(comb):
 
 
 def test_deep_comb_operations():
-    # left comb: leaves 0, 1 are the only caret, x0^(N-2) in leaf 0
-    assert caret_positions(LEFT_COMB) == {0}
-    assert remove_caret(LEFT_COMB, 0).bits == "1" * (N - 2) + "0" * (N - 1)
+    # a comb against itself cancels caret by caret down to one leaf; the
+    # left and right combs share no caret
+    assert reduce_pair(TreePair(LEFT_COMB, LEFT_COMB)) == identity()
+    assert reduce_pair(TreePair(LEFT_COMB, RIGHT_COMB)) == TreePair(LEFT_COMB, RIGHT_COMB)
+    # left comb: x0^(N-2) in leaf 0; right comb: no exponents
     assert leaf_exponents(LEFT_COMB) == [N - 2] + [0] * (N - 1)
-    # right comb: the last two leaves are the only caret, no exponents
-    assert caret_positions(RIGHT_COMB) == {N - 2}
-    assert remove_caret(RIGHT_COMB, N - 2) == right_comb(N - 1)
     assert leaf_exponents(RIGHT_COMB) == [0] * N
     # their refinement copies the left comb's left and the right comb's right
     m = common_refinement(LEFT_COMB, RIGHT_COMB)

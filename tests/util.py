@@ -11,7 +11,7 @@ from thomplink import (
     random_element,
 )
 from thomplink.strand import _Cut
-from thomplink.trees import graft, random_tree
+from thomplink.trees import graft, random_tree, tree_from_bits
 
 
 def graft_element(p: TreePair, leaf: int, g: TreePair) -> TreePair:
@@ -36,6 +36,30 @@ def with_kink(rng: Random, d: LinkDiagram) -> LinkDiagram:
     rng.shuffle(slots)
     crossings.insert(rng.randrange(len(crossings) + 1), slots)
     return LinkDiagram(crossings, d.free_loops)
+
+
+def _carets(bits: str) -> set[int]:
+    """Indices ``i`` such that leaves ``i`` and ``i + 1`` are siblings."""
+    runs = bits.split("0")
+    return {i for i in range(len(runs) - 2) if runs[i].endswith("1") and not runs[i + 1]}
+
+
+def _remove_caret(bits: str, i: int) -> str:
+    """Collapse the caret on leaves ``i`` and ``i + 1``: its 100 becomes 0."""
+    runs = bits.split("0")
+    return "0".join(runs[:i] + [runs[i][:-1]] + runs[i + 2 :])
+
+
+def rescan_reduce_pair(p: TreePair) -> TreePair:
+    """Reduction that rescans both trees for their common carets after each
+    removal and removes the leftmost."""
+    source, target = p.source.bits, p.target.bits
+    while True:
+        shared = _carets(source) & _carets(target)
+        if not shared:
+            return TreePair(tree_from_bits(source), tree_from_bits(target))
+        i = min(shared)
+        source, target = _remove_caret(source, i), _remove_caret(target, i)
 
 
 def rescan_reduced(a, rng=None):
