@@ -5,13 +5,21 @@ The bracket is characterized by
     <U> = 1,   <L_X> = A <L_0> + A^-1 <L_oo>,   <L u U> = (-A^2 - A^-2) <L>.
 
 Crossings are added one at a time, the next being the one with the most
-arcs already open.  After each step the smoothed part of the diagram is a
-set of closed loops plus strands joining pairs of open arc ends, so a
-state is that matching of open arcs.  Each state carries the sum, over
-the smoothings that reach it, of A^(A-smoothings - B-smoothings) times
-delta per closed loop, an integer Laurent polynomial.  States with equal
-matchings merge, which is what keeps the cost polynomial for diagrams of
-bounded width (Bar-Natan's local contraction, applied to the bracket).
+arcs already open, the earliest on ties.  Each crossing's count of open
+arcs is kept up to date as arcs open, and the next crossing comes from
+five lazy min-heaps, one per count 0-4, so a step does not rescan the
+crossings still to be added.  After each step the smoothed part of the
+diagram is a set of closed loops plus strands joining pairs of open arc
+ends, so a state is that matching of open arcs.  Each state carries the
+sum, over the smoothings that reach it, of A^(A-smoothings -
+B-smoothings) times delta per closed loop, an integer Laurent polynomial
+held as a plain {exponent: coefficient} dict: a smoothing adds shifted
+copies of its state's dict into the dict of the state it reaches, one per
+term of A^(+-1) delta^k (k <= 2), and a ``LaurentPolynomial`` is built
+once, at the end.  States with equal matchings merge, which is what keeps
+the cost polynomial for diagrams of bounded width (Bar-Natan's local
+contraction, applied to the bracket); the work of a step still grows with
+the length of its states' polynomials.
 
 Bracket values of diagrams of one link differ by units -A^(+-3) (framing)
 and whole factors delta per split trivial component, so link comparison
@@ -21,6 +29,8 @@ components.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from .laurent import DELTA, ONE, LaurentPolynomial
 from .links import LinkDiagram, _join
@@ -35,10 +45,12 @@ DEFAULT_STATE_LIMIT = 100_000
 
 # Smoothing of a crossing (a0, a1, a2, a3): the A-smoothing joins slots
 # 0-1 and 2-3 and contributes A, the B-smoothing joins 0-3 and 1-2 and
-# contributes A^-1.
-_SMOOTHINGS = ((1, ((0, 1), (2, 3))), (-1, ((0, 3), (1, 2))))
-# A^weight * delta^loops, for the at most two loops one smoothing closes
-_FACTORS = {(w, k): (DELTA**k).shifted(w) for w in (1, -1) for k in range(3)}
+# contributes A^-1.  Each carries, for the k <= 2 loops it closes, the
+# terms (exponent, coefficient) of A^(+-1) * delta^k.
+_SMOOTHINGS = tuple(
+    ([tuple((DELTA**k).shifted(weight).coeffs.items()) for k in range(3)], joins)
+    for weight, joins in ((1, ((0, 1), (2, 3))), (-1, ((0, 3), (1, 2))))
+)
 
 
 class StateLimitError(ValueError):
@@ -53,53 +65,78 @@ def kauffman_bracket(
         if d.free_loops == 0:
             raise ValueError("the empty diagram has no bracket normalization")
         return DELTA ** (d.free_loops - 1)
-    crossings = d.relabeled().crossings
-    remaining = list(range(len(crossings)))
+    partner = d._partner
+    n = d.crossing_count
+    # opened[c]: slots of crossing c whose arc is open.  It only grows while
+    # c waits, so buckets[k], a min-heap of the crossings that have reached
+    # k, holds c lazily: an entry whose count has moved on is skipped.
+    opened = [0] * n
+    buckets: list[list[int]] = [list(range(n)), [], [], [], []]
+    # An open arc is named by the dart at its end still to be added.
     open_arcs: set[int] = set()
-    frontier: tuple[int, ...] = ()
-    # matching of the frontier arcs (as a tuple aligned with it) -> its sum
-    states: dict[tuple[int, ...], LaurentPolynomial] = {(): ONE}
-    while remaining:
+    frontier: list[int] = []
+    # matching of the frontier arcs (a tuple aligned with it) -> its sum,
+    # as {exponent: coefficient}; the free loops are factors from the start
+    states: dict[tuple[int, ...], dict[int, int]] = {(): dict((DELTA**d.free_loops).coeffs)}
+    for step in range(n):
         # next: the crossing with the most open arcs, the earliest on ties
-        ci = max(remaining, key=lambda i: sum(a in open_arcs for a in crossings[i]))
-        remaining.remove(ci)
-        x = crossings[ci]
-        # Name the strand end at each slot: an open arc keeps its label;
+        for k in (4, 3, 2, 1, 0):
+            heap = buckets[k]
+            while heap and opened[heap[0]] != k:
+                heappop(heap)
+            if heap:
+                ci = heappop(heap)
+                break
+        # Name the strand end at each slot: an open arc keeps its name;
         # otherwise slot i is named ~i and linked either to the slot at the
         # other end of its arc (a kink) or to the arc, which opens here.
-        names = list(x)
+        names = list(range(4 * ci, 4 * ci + 4))
         links: dict[int, int] = {}
-        for i, a in enumerate(x):
-            if a in open_arcs:
+        new_arcs = []
+        for i, dart in enumerate(names):
+            if dart in open_arcs:
+                open_arcs.remove(dart)
                 continue
             names[i] = ~i
-            if x.count(a) == 1:
-                links[~i], links[a] = a, ~i
-            elif x.index(a) < i:
-                j = x.index(a)
-                links[~i], links[~j] = ~j, ~i
-        open_arcs ^= {a for a in x if x.count(a) == 1}
-        new_frontier = tuple(sorted(open_arcs))
+            far = partner[dart]
+            other = far >> 2
+            if other == ci:
+                links[~i] = ~(far & 3)
+            else:
+                links[~i], links[far] = far, ~i
+                open_arcs.add(far)
+                new_arcs.append(far)
+                opened[other] += 1
+                heappush(buckets[opened[other]], other)
+        new_frontier = [a for a in frontier if a in open_arcs] + new_arcs
         # The last crossing closes at least one loop in every state; leaving
         # that loop out of the factor gives the normalization <U> = 1.
-        last = not remaining
-        new_states: dict[tuple[int, ...], LaurentPolynomial] = {}
+        last = step == n - 1
+        new_states: dict[tuple[int, ...], dict[int, int]] = {}
         for key, poly in states.items():
-            for weight, ((s, t), (u, v)) in _SMOOTHINGS:
-                partner = dict(zip(frontier, key))
-                partner.update(links)
-                closed = _join(partner, names[s], names[t])
-                closed += _join(partner, names[u], names[v])
-                term = poly * _FACTORS[weight, closed - last]
-                out = tuple(partner[a] for a in new_frontier)
-                new_states[out] = new_states[out] + term if out in new_states else term
+            items = poly.items()
+            frontier_ends = dict(zip(frontier, key))
+            frontier_ends.update(links)
+            for terms, ((s, t), (u, v)) in _SMOOTHINGS:
+                ends = frontier_ends.copy()
+                closed = _join(ends, names[s], names[t])
+                closed += _join(ends, names[u], names[v])
+                out = tuple(map(ends.__getitem__, new_frontier))
+                target = new_states.get(out)
+                if target is None:
+                    target = new_states[out] = {}
+                get = target.get
+                for shift, coefficient in terms[closed - last]:
+                    for e, c in items:
+                        e += shift
+                        target[e] = get(e, 0) + coefficient * c
         if len(new_states) > max_states:
             raise StateLimitError(
                 f"bracket contraction reached {len(new_states)} states, "
                 f"exceeding the bound {max_states}"
             )
         states, frontier = new_states, new_frontier
-    return states[()] * DELTA ** d.free_loops
+    return LaurentPolynomial(states[()])
 
 
 def _unit_equal(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:

@@ -18,11 +18,12 @@ from thomplink import (
     kauffman_bracket,
     medial_link,
     mirror_diagram,
+    multiply,
     simplify,
     tait_graph,
     two_bridge_diagram,
 )
-from util import random_diagram, unreduced_pair, with_kink, X0, X1
+from util import random_diagram, rescan_bracket, unreduced_pair, with_kink, X0, X1
 
 # Two-crossing clasp: closure of a two-strand braid with two equal crossings.
 HOPF = LinkDiagram([(2, 1, 3, 4), (4, 3, 1, 2)])
@@ -187,3 +188,32 @@ def test_laurent_text_format():
 def test_empty_diagram_rejected():
     with pytest.raises(ValueError):
         kauffman_bracket(LinkDiagram((), 0))
+
+
+def rescan_corpus():
+    """Raw direct links of products of three seeded random tree pairs, the
+    simplified links of Theorem 2's conjugates for n <= 30, and the
+    two-bridge diagrams C(1^k) and C(k) for k <= 300."""
+    rng = Random(47)
+    for _ in range(24):
+        a, b, c = (unreduced_pair(rng, rng.randint(6, 20)) for _ in range(3))
+        yield direct_link(multiply(multiply(a, b), c))
+    for n in range(1, 31):
+        for x, base in ((X0, g_element), (X1, h_element)):
+            yield simplify(direct_link(conjugate(base(n), x))).diagram
+    for k in (1, 2, 3, 4, 7, 30, 100, 300):
+        yield two_bridge_diagram(ConwayCode([1] * k))
+        yield two_bridge_diagram(ConwayCode([k]))
+
+
+def test_bracket_matches_rescan_at_size():
+    # equal values, and equal peak states pin the crossing order
+    sizes = []
+    for d in rescan_corpus():
+        value, peak = rescan_bracket(d)
+        assert kauffman_bracket(d, max_states=peak) == value
+        with pytest.raises(StateLimitError):
+            kauffman_bracket(d, max_states=peak - 1)
+        sizes.append(d.crossing_count)
+    assert min(sizes[:24]) <= 22 and max(sizes[:24]) >= 70
+    assert max(sizes) == 300

@@ -3,13 +3,17 @@
 from random import Random
 
 from thomplink import (
+    DELTA,
+    ONE,
     AnnularStrandDiagram,
+    LaurentPolynomial,
     LinkDiagram,
     TreePair,
     direct_link,
     make_generator,
     random_element,
 )
+from thomplink.links import _join
 from thomplink.strand import _Cut
 from thomplink.trees import graft, random_tree, tree_from_bits
 
@@ -88,3 +92,49 @@ def random_diagram(rng: Random, max_leaves: int = 8) -> LinkDiagram:
 
 X0 = make_generator(0)
 X1 = make_generator(1)
+
+
+def rescan_bracket(d: LinkDiagram) -> tuple[LaurentPolynomial, int]:
+    """The bracket by frontier contraction that rescans every remaining
+    crossing for the one with the most open arcs (the earliest on ties) and
+    multiplies whole ``LaurentPolynomial`` states; returns the value and the
+    most states held after any step."""
+    if d.crossing_count == 0:
+        return DELTA ** (d.free_loops - 1), 0
+    crossings = d.relabeled().crossings
+    remaining = list(range(len(crossings)))
+    open_arcs: set[int] = set()
+    frontier: tuple[int, ...] = ()
+    states: dict[tuple[int, ...], LaurentPolynomial] = {(): ONE}
+    peak = 0
+    while remaining:
+        ci = max(remaining, key=lambda i: sum(a in open_arcs for a in crossings[i]))
+        remaining.remove(ci)
+        x = crossings[ci]
+        names = list(x)
+        links: dict[int, int] = {}
+        for i, a in enumerate(x):
+            if a in open_arcs:
+                continue
+            names[i] = ~i
+            if x.count(a) == 1:
+                links[~i], links[a] = a, ~i
+            elif x.index(a) < i:
+                j = x.index(a)
+                links[~i], links[~j] = ~j, ~i
+        open_arcs ^= {a for a in x if x.count(a) == 1}
+        new_frontier = tuple(sorted(open_arcs))
+        last = not remaining
+        new_states: dict[tuple[int, ...], LaurentPolynomial] = {}
+        for key, poly in states.items():
+            for weight, ((s, t), (u, v)) in ((1, ((0, 1), (2, 3))), (-1, ((0, 3), (1, 2)))):
+                partner = dict(zip(frontier, key))
+                partner.update(links)
+                closed = _join(partner, names[s], names[t])
+                closed += _join(partner, names[u], names[v])
+                term = poly * (DELTA ** (closed - last)).shifted(weight)
+                out = tuple(partner[a] for a in new_frontier)
+                new_states[out] = new_states[out] + term if out in new_states else term
+        states, frontier = new_states, new_frontier
+        peak = max(peak, len(states))
+    return states[()] * DELTA ** d.free_loops, peak
