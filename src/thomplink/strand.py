@@ -45,7 +45,6 @@ from functools import cmp_to_key
 from heapq import heappop, heappush
 
 from .pairs import TreePair
-from .trees import node_table
 
 __all__ = [
     "StrandDiagram",
@@ -61,51 +60,62 @@ __all__ = [
     "reduced_annular_of",
 ]
 
-SPLIT = "split"
-MERGE = "merge"
-SOURCE = "source"
-SINK = "sink"
 
-_SLOTS = {
-    SPLIT: ("in", "L", "R"),
-    MERGE: ("L", "R", "out"),
-    SOURCE: ("out",),
-    SINK: ("in",),
-}
+# Vertex kinds, numbered in the order of their names so that vertex entries
+# compare as the names would.
+MERGE, SINK, SOURCE, SPLIT = range(4)
+_KINDS = ("merge", "sink", "source", "split")
 
-# counterclockwise rotation of the three edge ends around a vertex
-_ROTATION = {
-    SPLIT: {"in": "L", "L": "R", "R": "in"},
-    MERGE: {"out": "R", "R": "L", "L": "out"},
-    SOURCE: {"out": "out"},
-    SINK: {"in": "in"},
-}
+# The slot names of each kind in slot order; slot s of vertex v is dart
+# 3v + s.
+_SLOTS = (("L", "R", "out"), ("in",), ("out",), ("in", "L", "R"))
+
+# sigma: the step from a slot to the next one counterclockwise around its
+# vertex; split ccw = (in, L, R), merge ccw = (out, R, L)
+_TURN = ((2, -1, -1), (0,), (0,), (1, 1, -2))
 
 
 class _Cut:
-    """The radial cut order as a doubly linked ring, so that a reduction
-    move splices tokens in constant time; -1 is the ring's sentinel."""
+    """The radial cut order as a doubly linked list over token ids, so that
+    a reduction move splices tokens in constant time; -1 ends it on both
+    sides, and ``first`` is the innermost token."""
 
     def __init__(self, tokens: list[int]):
-        ring = [-1, *tokens]
-        self.after = dict(zip(ring, ring[1:] + ring[:1]))
-        self.before = {b: a for a, b in self.after.items()}
+        size = max(tokens, default=-1) + 1
+        self.after = [-1] * size
+        self.before = [-1] * size
+        ends = [-1, *tokens, -1]
+        for a, t, b in zip(ends, ends[1:], ends[2:]):
+            self.before[t] = a
+            self.after[t] = b
+        self.first = ends[1]
+
+    def _link(self, a: int, b: int) -> None:
+        if a < 0:
+            self.first = b
+        else:
+            self.after[a] = b
+        if b >= 0:
+            self.before[b] = a
 
     def remove(self, t: int) -> None:
-        a, b = self.before.pop(t), self.after.pop(t)
-        self.after[a] = b
-        self.before[b] = a
+        self._link(self.before[t], self.after[t])
 
     def split(self, t: int, inner: int, outer: int) -> None:
-        """Replace ``t`` by ``inner`` followed by ``outer``."""
-        a, b = self.before.pop(t), self.after.pop(t)
-        for x, y in ((a, inner), (inner, outer), (outer, b)):
-            self.after[x] = y
-            self.before[y] = x
+        """Replace ``t`` by the new tokens ``inner`` followed by ``outer``,
+        the later one."""
+        grow = outer + 1 - len(self.after)
+        if grow > 0:
+            self.after += [-1] * grow
+            self.before += [-1] * grow
+        a, b = self.before[t], self.after[t]
+        self._link(a, inner)
+        self._link(inner, outer)
+        self._link(outer, b)
 
     def tokens(self) -> list[int]:
         out = []
-        t = self.after[-1]
+        t = self.first
         while t != -1:
             out.append(t)
             t = self.after[t]
@@ -113,157 +123,160 @@ class _Cut:
 
 
 class _Net:
-    """Mutable split/merge network with exact cut-crossing bookkeeping."""
+    """Mutable split/merge network with exact cut-crossing bookkeeping, held
+    in flat integer arrays.
+
+    Vertex v has kind ``kind[v]`` and darts 3v + s, one for each of its
+    slots s; ``att[d]`` is the edge at dart d.  Edge e runs from dart
+    ``tail[e]`` to dart ``head[e]`` and crosses the cut at the tokens of the
+    tuple ``toks[e]``, in its direction of flow.  Ids are never reused: a
+    removed vertex keeps kind -1, a dropped edge tail -1, and an empty dart
+    edge -1.
+    """
+
+    __slots__ = ("kind", "att", "tail", "head", "toks", "loop_tokens", "cut_order", "token_count")
 
     def __init__(self):
-        self.kind: dict[int, str] = {}
-        # eid -> [src_vid, src_slot, dst_vid, dst_slot, tokens]
-        self.edges: dict[int, list] = {}
-        self.att: dict[tuple[int, str], int] = {}
+        self.kind: list[int] = []
+        self.att: list[int] = []
+        self.tail: list[int] = []
+        self.head: list[int] = []
+        self.toks: list[tuple[int, ...]] = []
         self.loop_tokens: list[int] = []  # one token per free loop
         self.cut_order: list[int] = []  # token ids, innermost first
-        self._next_v = 0
-        self._next_e = 0
-        self._next_t = 0
+        self.token_count = 0
 
     # -- construction -------------------------------------------------------
 
-    def add_vertex(self, kind: str) -> int:
-        vid = self._next_v
-        self._next_v += 1
-        self.kind[vid] = kind
-        return vid
-
-    def add_edge(self, src_vid, src_slot, dst_vid, dst_slot, tokens=()) -> int:
-        eid = self._next_e
-        self._next_e += 1
-        self.edges[eid] = [src_vid, src_slot, dst_vid, dst_slot, list(tokens)]
-        self.att[(src_vid, src_slot)] = eid
-        self.att[(dst_vid, dst_slot)] = eid
+    def add_edge(self, tail: int, head: int, tokens: tuple[int, ...] = ()) -> int:
+        eid = len(self.tail)
+        self.tail.append(tail)
+        self.head.append(head)
+        self.toks.append(tokens)
+        self.att[tail] = eid
+        self.att[head] = eid
         return eid
 
     def new_token(self) -> int:
-        tid = self._next_t
-        self._next_t += 1
+        tid = self.token_count
+        self.token_count += 1
         return tid
 
     def copy(self) -> "_Net":
         out = _Net()
-        out.kind = dict(self.kind)
-        out.edges = {e: rec[:4] + [list(rec[4])] for e, rec in self.edges.items()}
-        out.att = dict(self.att)
-        out.loop_tokens = list(self.loop_tokens)
-        out.cut_order = list(self.cut_order)
-        out._next_v = self._next_v
-        out._next_e = self._next_e
-        out._next_t = self._next_t
+        out.kind = self.kind[:]
+        out.att = self.att[:]
+        out.tail = self.tail[:]
+        out.head = self.head[:]
+        out.toks = self.toks[:]  # token tuples are never changed, so shared
+        out.loop_tokens = self.loop_tokens[:]
+        out.cut_order = self.cut_order[:]
+        out.token_count = self.token_count
         return out
 
     def _remove_vertex(self, vid: int) -> None:
-        for slot in _SLOTS[self.kind[vid]]:
-            self.att.pop((vid, slot), None)
-        del self.kind[vid]
+        self.kind[vid] = -1
+        self.att[3 * vid : 3 * vid + 3] = (-1, -1, -1)
 
     def _drop_edge(self, eid: int) -> None:
-        rec = self.edges.pop(eid)
-        for key in ((rec[0], rec[1]), (rec[2], rec[3])):
-            if self.att.get(key) == eid:
-                del self.att[key]
+        att = self.att
+        for d in (self.tail[eid], self.head[eid]):
+            if att[d] == eid:
+                att[d] = -1
+        self.tail[eid] = self.head[eid] = -1
 
     def _resolve_connectors(self, connectors: list[list]) -> list[int]:
         """Splice edge chains through removed vertices.
 
-        Each connector [ein, eout, tokens] joins the loose dst end of
-        ``ein`` to the loose src end of ``eout``, inserting the corridor's
-        cut crossings; a chain that closes on itself becomes a free loop.
+        Each connector [ein, eout, tokens] joins the loose head of ``ein``
+        to the loose tail of ``eout``, inserting the corridor's cut
+        crossings; a chain that closes on itself becomes a free loop.
         Returns the spliced edges that survive, the only edges whose
         records changed.
         """
+        tail, head, toks = self.tail, self.head, self.toks
         kept = []
         for k, (ein, eout, tokens) in enumerate(connectors):
             if ein == eout:
-                loop = self.edges[ein][4] + tokens
+                loop = toks[ein] + tokens
                 if len(loop) != 1:
                     raise AssertionError("free loop must cross the cut exactly once")
                 self.loop_tokens.append(loop[0])
                 self._drop_edge(ein)
                 continue
-            keep, gone = self.edges[ein], self.edges[eout]
-            keep[2], keep[3] = gone[2], gone[3]
-            keep[4] = keep[4] + tokens + gone[4]
-            del self.edges[eout]
-            self.att[(keep[2], keep[3])] = ein
+            end = head[ein] = head[eout]
+            toks[ein] = toks[ein] + tokens + toks[eout]
+            tail[eout] = head[eout] = -1
+            self.att[end] = ein
             kept.append(ein)
             for later in connectors[k + 1 :]:
                 if later[0] == eout:
                     later[0] = ein
-        return [eid for eid in kept if eid in self.edges]
+        return [eid for eid in kept if tail[eid] >= 0]
 
     # -- reduction moves ----------------------------------------------------
 
     def _is_bigon(self, vid: int) -> bool:
         """A split whose outputs feed one merge in order, bounding a disk
         (the parallel strands cross the cut equally often)."""
-        if self.kind.get(vid) != SPLIT:
+        if self.kind[vid] != SPLIT:
             return False
-        rl = self.edges[self.att[(vid, "L")]]
-        rr = self.edges[self.att[(vid, "R")]]
+        el, er = self.att[3 * vid + 1], self.att[3 * vid + 2]
+        left = self.head[el]  # the merge's slot L is 0 and its slot R is 1
         return (
-            rl[2] == rr[2]
-            and self.kind.get(rl[2]) == MERGE
-            and rl[3] == "L"
-            and rr[3] == "R"
-            and len(rl[4]) == len(rr[4])
+            self.head[er] == left + 1
+            and left % 3 == 0
+            and self.kind[left // 3] == MERGE
+            and len(self.toks[el]) == len(self.toks[er])
         )
 
     def _is_pass(self, eid: int) -> bool:
         """An edge running from a merge into a split."""
-        rec = self.edges.get(eid)
+        tail = self.tail[eid]
         return (
-            rec is not None
-            and self.kind.get(rec[0]) == MERGE
-            and self.kind.get(rec[2]) == SPLIT
+            tail >= 0
+            and self.kind[tail // 3] == MERGE
+            and self.kind[self.head[eid] // 3] == SPLIT
         )
 
     def bigon_moves(self) -> list[int]:
-        return [vid for vid in sorted(self.kind) if self._is_bigon(vid)]
+        return [vid for vid in range(len(self.kind)) if self._is_bigon(vid)]
 
     def pass_moves(self) -> list[int]:
-        return [eid for eid in sorted(self.edges) if self._is_pass(eid)]
+        return [eid for eid in range(len(self.tail)) if self._is_pass(eid)]
 
     def apply_bigon(self, split_vid: int, cut: _Cut) -> list[int]:
-        el = self.att[(split_vid, "L")]
-        er = self.att[(split_vid, "R")]
-        merge_vid = self.edges[el][2]
-        left_tokens = self.edges[el][4]
-        right_tokens = self.edges[er][4]
+        att = self.att
+        el, er = att[3 * split_vid + 1], att[3 * split_vid + 2]
+        merge_vid = self.head[el] // 3
+        left_tokens, right_tokens = self.toks[el], self.toks[er]
         for tl, tr in zip(left_tokens, right_tokens):
             # the left strand of the bigon is the outer one at every wrap
             if cut.before[tl] != tr:
                 raise AssertionError("bigon strands must cross the cut adjacently")
         for t in left_tokens:
             cut.remove(t)
-        ein = self.att[(split_vid, "in")]
-        eout = self.att[(merge_vid, "out")]
-        corridor = list(right_tokens)
+        ein, eout = att[3 * split_vid], att[3 * merge_vid + 2]
         self._drop_edge(el)
         self._drop_edge(er)
         self._remove_vertex(split_vid)
         self._remove_vertex(merge_vid)
-        return self._resolve_connectors([[ein, eout, corridor]])
+        return self._resolve_connectors([[ein, eout, right_tokens]])
 
     def apply_pass(self, eid: int, cut: _Cut) -> list[int]:
-        merge_vid, _, split_vid, _, tokens = self.edges[eid]
+        att = self.att
+        merge_vid, split_vid = self.tail[eid] // 3, self.head[eid] // 3
         left_copies, right_copies = [], []
-        for t in tokens:
+        for t in self.toks[eid]:
             # the two replacement strands run in parallel where the edge
             # was; the left one is outer at every cut crossing
             inner, outer = self.new_token(), self.new_token()
             right_copies.append(inner)
             left_copies.append(outer)
             cut.split(t, inner, outer)
-        left = [self.att[(merge_vid, "L")], self.att[(split_vid, "L")], left_copies]
-        right = [self.att[(merge_vid, "R")], self.att[(split_vid, "R")], right_copies]
+        m, s = 3 * merge_vid, 3 * split_vid
+        left = [att[m], att[s + 1], tuple(left_copies)]
+        right = [att[m + 1], att[s + 2], tuple(right_copies)]
         self._drop_edge(eid)
         self._remove_vertex(merge_vid)
         self._remove_vertex(split_vid)
@@ -273,7 +286,7 @@ class _Net:
         """Type III: collapse runs of radially adjacent free loops."""
         if len(self.loop_tokens) < 2:
             return
-        order = self.radial_items(self._face_orbits())
+        order = self.radial_items(self._face_orbits()[0])
         drop: set[int] = set()
         prev_loop_token = None
         for kind, payload in order:
@@ -303,80 +316,77 @@ class _Net:
             while passes and not self._is_pass(passes[0]):
                 heappop(passes)
             if bigons:
-                kind, key = "I", bigons[0]
+                spliced = self.apply_bigon(bigons[0], cut)
             elif passes:
-                kind, key = "II", passes[0]
+                spliced = self.apply_pass(passes[0], cut)
             else:
                 break
-            if kind == "I":
-                spliced = self.apply_bigon(key, cut)
-            else:
-                spliced = self.apply_pass(key, cut)
             for eid in spliced:
                 heappush(passes, eid)
-                heappush(bigons, self.edges[eid][0])
+                heappush(bigons, self.tail[eid] // 3)
         self.cut_order = cut.tokens()
 
     # -- embedding: faces and radial nesting --------------------------------
 
-    def _face_orbits(self) -> dict[tuple[int, int], int]:
-        """Map darts (eid, end) to face ids; end 0 = src side, 1 = dst side.
+    def _face_orbits(self) -> tuple[list[int], list[list[int]]]:
+        """The face id of every dart (-1 at an empty one), and the darts of
+        every face.
 
-        Faces are orbits of sigma(alpha(dart)); the orbit of a dart is the
-        face on the left of that dart when it points away from its vertex,
-        so an edge's dst dart carries the face on the inner side of its cut
-        crossings (the flow is counterclockwise there).
+        Faces are orbits of sigma(alpha(dart)): alpha jumps to the other end
+        of the dart's edge and sigma turns counterclockwise around that
+        vertex.  The orbit of a dart is the face on the left of its edge
+        when the edge points away from the dart's vertex, so the head dart
+        of an edge carries the face on the inner side of its cut crossings
+        (the flow is counterclockwise there).
         """
-        edges, kind, att = self.edges, self.kind, self.att
-        face_of: dict[tuple[int, int], int] = {}
-        next_face = 0
-        for start in sorted(edges):
-            for end in (0, 1):
-                dart = (start, end)
-                if dart in face_of:
-                    continue
-                while dart not in face_of:
-                    face_of[dart] = next_face
-                    eid, e = dart
-                    rec = edges[eid]
-                    # alpha: jump to the other end of the edge
-                    vid, slot = (rec[2], rec[3]) if e == 0 else (rec[0], rec[1])
-                    # sigma: rotate counterclockwise at that vertex
-                    nslot = _ROTATION[kind[vid]][slot]
-                    neid = att[(vid, nslot)]
-                    nrec = edges[neid]
-                    dart = (neid, 0 if nrec[0] == vid and nrec[1] == nslot else 1)
-                next_face += 1
-        return face_of
-
-    def component_edge_sets(self) -> list[set[int]]:
-        """Edge sets of the connected components, by least edge id; a
-        search from vertex to vertex reads each vertex's slots once."""
-        edges, kind, att = self.edges, self.kind, self.att
-        seen: set[int] = set()
-        comps = []
-        for eid in sorted(edges):
-            if eid in seen:
+        kind, att, tail, head = self.kind, self.att, self.tail, self.head
+        face = [-1] * len(att)
+        orbits: list[list[int]] = []
+        for eid, start in enumerate(tail):
+            if start < 0:
                 continue
-            comp = set()
-            reached = {edges[eid][0]}
-            stack = list(reached)
-            while stack:
-                vid = stack.pop()
-                for slot in _SLOTS[kind[vid]]:
-                    nxt = att[(vid, slot)]
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        rec = edges[nxt]
-                        for w in (rec[0], rec[2]):
-                            if w not in reached:
-                                reached.add(w)
-                                stack.append(w)
-            seen |= comp
-            comps.append(comp)
+            for dart in (start, head[eid]):
+                if face[dart] >= 0:
+                    continue
+                orbit = []
+                while face[dart] < 0:
+                    face[dart] = len(orbits)
+                    orbit.append(dart)
+                    e = att[dart]
+                    end = head[e] if tail[e] == dart else tail[e]
+                    dart = end + _TURN[kind[end // 3]][end % 3]
+                orbits.append(orbit)
+        return face, orbits
+
+    def component_edges(self) -> list[list[int]]:
+        """The edges of each connected component in ascending order, the
+        components by least edge id; a search from vertex to vertex reads
+        each vertex's darts once."""
+        att, tail, head = self.att, self.tail, self.head
+        comp_of = [-1] * len(self.kind)
+        comps: list[list[int]] = []
+        for eid, start in enumerate(tail):
+            if start < 0:
+                continue
+            vid = start // 3
+            if comp_of[vid] < 0:
+                comp_of[vid] = len(comps)
+                stack = [vid]
+                while stack:
+                    v = stack.pop()
+                    for dart in range(3 * v, 3 * v + 3):
+                        e = att[dart]
+                        if e < 0:
+                            continue
+                        w = (head[e] if tail[e] == dart else tail[e]) // 3
+                        if comp_of[w] < 0:
+                            comp_of[w] = len(comps)
+                            stack.append(w)
+                comps.append([])
+            comps[comp_of[vid]].append(eid)
         return comps
 
-    def radial_items(self, faces: dict[tuple[int, int], int]) -> list[tuple[str, object]]:
+    def radial_items(self, faces: list[int]) -> list[tuple[str, object]]:
         """Components and free loops sorted innermost to outermost, given
         the face of every dart (:meth:`_face_orbits`).
 
@@ -385,32 +395,37 @@ class _Net:
         which each stretch of the cut between them lies in: the hole face
         before the first, the outer face after the last.
         """
+        tail, head = self.tail, self.head
         comps = []
-        comp_of = {}
-        for comp in self.component_edge_sets():
-            c = {"edges": comp, "cross": [], "gaps": []}
+        comp_of: list = [None] * len(tail)
+        for edges in self.component_edges():
+            c = {"edges": edges, "cross": [], "gaps": []}
             comps.append(c)
-            for eid in comp:
+            for eid in edges:
                 comp_of[eid] = c
-        owner = {t: eid for eid, rec in self.edges.items() for t in rec[4]}
-        pos = {}
+        owner = [-1] * self.token_count
+        for eid, tokens in enumerate(self.toks):
+            if tail[eid] >= 0:
+                for t in tokens:
+                    owner[t] = eid
+        pos = [-1] * self.token_count
         for i, t in enumerate(self.cut_order):
             pos[t] = i
-            if t not in owner:
-                continue
             eid = owner[t]
+            if eid < 0:
+                continue
             c = comp_of[eid]
             if not c["gaps"]:
-                c["gaps"].append(faces[(eid, 1)])  # the hole face of this component
-            elif c["gaps"][-1] != faces[(eid, 1)]:
+                c["gaps"].append(faces[head[eid]])  # the hole face of this component
+            elif c["gaps"][-1] != faces[head[eid]]:
                 raise AssertionError("cut walk out of step with faces")
             c["cross"].append(i)
-            c["gaps"].append(faces[(eid, 0)])
+            c["gaps"].append(faces[tail[eid]])
         for c in comps:
             if not c["cross"]:
                 raise AssertionError("a component must wind around the hole")
             outer_e = owner[self.cut_order[c["cross"][-1]]]
-            if c["gaps"][-1] != faces[(outer_e, 0)]:
+            if c["gaps"][-1] != faces[tail[outer_e]]:
                 raise AssertionError("cut walk must end in the outer face")
             c["min_pos"] = c["cross"][0]
             c["hole"] = c["gaps"][0]
@@ -446,13 +461,14 @@ class _Net:
         """Every directed cycle winds positively iff the subgraph of edges
         that never cross the cut is acyclic."""
         # Kahn's peel: repeatedly drop a vertex with no incoming edge left
-        adj: dict[int, list[int]] = {v: [] for v in self.kind}
-        indegree = dict.fromkeys(self.kind, 0)
-        for rec in self.edges.values():
-            if not rec[4]:
-                adj[rec[0]].append(rec[2])
-                indegree[rec[2]] += 1
-        ready = [v for v, k in indegree.items() if k == 0]
+        adj: list[list[int]] = [[] for _ in self.kind]
+        indegree = [0] * len(self.kind)
+        for eid, tail in enumerate(self.tail):
+            if tail >= 0 and not self.toks[eid]:
+                w = self.head[eid] // 3
+                adj[tail // 3].append(w)
+                indegree[w] += 1
+        ready = [v for v, k in enumerate(self.kind) if k >= 0 and indegree[v] == 0]
         peeled = 0
         while ready:
             v = ready.pop()
@@ -461,24 +477,9 @@ class _Net:
                 indegree[w] -= 1
                 if indegree[w] == 0:
                     ready.append(w)
-        return peeled == len(adj)
+        return peeled == len(self.kind) - self.kind.count(-1)
 
     # -- canonical form -------------------------------------------------------
-
-    def _entry(self, vid: int, edge_ix: dict[int, int], edge_order: list[int]) -> tuple:
-        """The entry of ``vid`` in a walk: its kind and the numbers of its
-        slot edges in slot order, numbering the unnumbered ones on from
-        ``len(edge_order)``."""
-        kind = self.kind[vid]
-        ixs = []
-        for slot in _SLOTS[kind]:
-            nxt = self.att[(vid, slot)]
-            ix = edge_ix.get(nxt)
-            if ix is None:
-                ix = edge_ix[nxt] = len(edge_order)
-                edge_order.append(nxt)
-            ixs.append(ix)
-        return (kind, tuple(ixs))
 
     def _min_signature(self, starts: list[int], marks: tuple[list, list]) -> tuple:
         """Least signature over ``starts``.
@@ -526,8 +527,19 @@ class _Net:
                     out.append(walk)
             return out
 
-        # a walk's first entry is that of the head of its start edge
-        firsts = [self._entry(self.edges[e][2], {e: 0}, [e]) for e in starts]
+        # A walk's first entry is that of the head of its start edge e: its
+        # kind, then the numbers of its three slot edges, e being 0 and the
+        # others numbered on from 1 in slot order.
+        kind, att, head = self.kind, self.att, self.head
+        firsts = []
+        for e in starts:
+            d = head[e]
+            d -= d % 3
+            x, y, z = att[d], att[d + 1], att[d + 2]
+            nx = 0 if x == e else 1
+            ny = 0 if y == e else nx if y == x else nx + 1
+            nz = 0 if z == e else nx if z == x else ny if z == y else max(nx, ny) + 1
+            firsts.append((kind[d // 3], nx, ny, nz))
         least = min(firsts)
         walks = [_Walk(self, start) for start, e in zip(starts, firsts) if e == least]
         k = 1
@@ -545,17 +557,14 @@ class _Net:
         return walks[0].signature(marks)
 
     def canonical_form(self) -> tuple:
-        faces = self._face_orbits()
-        face_darts: dict[int, list] = {}
-        for dart, face in faces.items():
-            face_darts.setdefault(face, []).append(dart)
+        faces, orbits = self._face_orbits()
         items = []
         for kind, payload in self.radial_items(faces):
             if kind == "loop":
                 items.append("O")
             else:
-                marks = (face_darts[payload["hole"]], face_darts[payload["outer"]])
-                items.append(self._min_signature(sorted(payload["edges"]), marks))
+                marks = (orbits[payload["hole"]], orbits[payload["outer"]])
+                items.append(self._min_signature(payload["edges"], marks))
         return tuple(items)
 
 
@@ -568,53 +577,76 @@ class _Walk:
     (kind, slot edge numbers) is then final.  The signature is the vertex
     entries, the windings reduced by the gauge ``psi`` of the spanning
     tree of first visits, and for each marked face the least (edge number,
-    end) among its darts.
+    end) among its darts, end 0 at the tail and 1 at the head.
     """
+
+    __slots__ = ("net", "edge_ix", "edge_order", "verts", "psi", "pos", "sig")
 
     def __init__(self, net: _Net, start: int):
         self.net = net
         self.edge_ix = {start: 0}
         self.edge_order = [start]
-        self.seen: set[int] = set()
         self.verts: list[tuple] = []
-        self.psi: dict[int, int] = {}
+        self.psi: dict[int, int] = {}  # reached vertices, with their gauge
         self.pos = 0
         self.sig: tuple | None = None
 
     def entry(self, k: int) -> tuple | None:
         """The k-th vertex entry, or None past the last vertex."""
-        net, edge_ix, edge_order, psi = self.net, self.edge_ix, self.edge_order, self.psi
-        while len(self.verts) <= k and self.pos < len(edge_order):
-            src_v, _, dst_v, _, tokens = net.edges[edge_order[self.pos]]
-            self.pos += 1
-            w = len(tokens)
-            if src_v not in psi and dst_v not in psi:
+        verts = self.verts
+        if k < len(verts):
+            return verts[k]
+        net = self.net
+        kind, att, tail, head, toks = net.kind, net.att, net.tail, net.head, net.toks
+        edge_ix, edge_order, psi = self.edge_ix, self.edge_order, self.psi
+        pos = self.pos
+        while len(verts) <= k and pos < len(edge_order):
+            eid = edge_order[pos]
+            pos += 1
+            src_v, dst_v = tail[eid] // 3, head[eid] // 3
+            if dst_v in psi:
+                if src_v in psi:
+                    continue
+                psi[src_v] = psi[dst_v] - len(toks[eid])
+                reached = (src_v,)
+            elif src_v in psi:
+                psi[dst_v] = psi[src_v] + len(toks[eid])
+                reached = (dst_v,)
+            else:  # the start edge
                 psi[src_v] = 0
-            if src_v in psi and dst_v not in psi:
-                psi[dst_v] = psi[src_v] + w
-            elif dst_v in psi and src_v not in psi:
-                psi[src_v] = psi[dst_v] - w
-            for vid in (dst_v, src_v):
-                if vid not in self.seen:
-                    self.seen.add(vid)
-                    self.verts.append(net._entry(vid, edge_ix, edge_order))
-        return self.verts[k] if k < len(self.verts) else None
+                psi[dst_v] = len(toks[eid]) if dst_v != src_v else 0
+                reached = (dst_v, src_v) if dst_v != src_v else (dst_v,)
+            for vid in reached:
+                vkind = kind[vid]
+                entry = [vkind]
+                for nxt in att[3 * vid : 3 * vid + len(_SLOTS[vkind])]:
+                    ix = edge_ix.get(nxt)
+                    if ix is None:
+                        ix = edge_ix[nxt] = len(edge_order)
+                        edge_order.append(nxt)
+                    entry.append(ix)
+                verts.append(tuple(entry))
+        self.pos = pos
+        return verts[k] if k < len(verts) else None
 
     def signature(self, marks: tuple[list, list] | None) -> tuple:
         """The whole signature; ``marks`` lists the darts of the hole face
         and of the outer face, or is None for a square diagram.  A walk
         serves one component, so the first result is kept."""
         if self.sig is None:
-            self.entry(len(self.net.kind))
-            edges, psi = self.net.edges, self.psi
+            net = self.net
+            self.entry(len(net.kind))
+            att, tail, head, toks, psi = net.att, net.tail, net.head, net.toks, self.psi
             winds = tuple(
-                len(edges[eid][4]) + psi[edges[eid][0]] - psi[edges[eid][2]]
+                len(toks[eid]) + psi[tail[eid] // 3] - psi[head[eid] // 3]
                 for eid in self.edge_order
             )
             self.sig = (tuple(self.verts), winds)
             if marks is not None:
+                edge_ix = self.edge_ix
                 mark_ids = tuple(
-                    min((self.edge_ix[eid], end) for eid, end in darts) for darts in marks
+                    min((edge_ix[att[d]], 0 if tail[att[d]] == d else 1) for d in darts)
+                    for darts in marks
                 )
                 self.sig += (mark_ids,)
         return self.sig
@@ -627,7 +659,8 @@ def _format_code(form: tuple, loops: int) -> str:
             parts.append("O")
             continue
         verts, winds, marks = item
-        vtxt = ";".join(f"{k[0]}:" + ",".join(map(str, ixs)) for k, ixs in verts)
+        # an annular vertex has three slots, so an entry is (kind, a, b, c)
+        vtxt = ";".join(f"{_KINDS[k][0]}:{a},{b},{c}" for k, a, b, c in verts)
         wtxt = ",".join(map(str, winds))
         mtxt = ",".join(f"{e}{'st'[d]}" for e, d in marks)
         parts.append(f"[{vtxt}|{wtxt}|{mtxt}]")
@@ -646,14 +679,14 @@ class StrandDiagram:
 
     @property
     def split_count(self) -> int:
-        return sum(1 for k in self._net.kind.values() if k == SPLIT)
+        return self._net.kind.count(SPLIT)
 
     @property
     def merge_count(self) -> int:
-        return sum(1 for k in self._net.kind.values() if k == MERGE)
+        return self._net.kind.count(MERGE)
 
     def canonical_signature(self) -> tuple:
-        return _Walk(self._net, self._net.att[(self._source, "out")]).signature(None)
+        return _Walk(self._net, self._net.att[3 * self._source]).signature(None)
 
     def __eq__(self, other) -> bool:
         return (
@@ -682,11 +715,11 @@ class AnnularStrandDiagram:
 
     @property
     def split_count(self) -> int:
-        return sum(1 for k in self._net.kind.values() if k == SPLIT)
+        return self._net.kind.count(SPLIT)
 
     @property
     def merge_count(self) -> int:
-        return sum(1 for k in self._net.kind.values() if k == MERGE)
+        return self._net.kind.count(MERGE)
 
     @property
     def is_reduced(self) -> bool:
@@ -701,22 +734,30 @@ class AnnularStrandDiagram:
 
     def to_json(self) -> str:
         net = self._net
+        kind, att = net.kind, net.att
         loops = set(net.loop_tokens)
         owner = {}
-        for eid, rec in sorted(net.edges.items()):
-            for t in rec[4]:
-                owner[t] = eid
+        for eid, tokens in enumerate(net.toks):
+            if net.tail[eid] >= 0:
+                for t in tokens:
+                    owner[t] = eid
+
+        def end(dart: int) -> list:
+            return [dart // 3, _SLOTS[kind[dart // 3]][dart % 3]]
+
         return json.dumps(
             {
                 "schema": 1,
                 "vertices": [
-                    {"id": v, "kind": net.kind[v],
-                     "edges": {slot: net.att[(v, slot)] for slot in _SLOTS[net.kind[v]]}}
-                    for v in sorted(net.kind)
+                    {"id": v, "kind": _KINDS[k],
+                     "edges": {slot: att[3 * v + s] for s, slot in enumerate(_SLOTS[k])}}
+                    for v, k in enumerate(kind)
+                    if k >= 0
                 ],
                 "edges": [
-                    {"id": e, "src": rec[0:2], "dst": rec[2:4], "winding": len(rec[4])}
-                    for e, rec in sorted(net.edges.items())
+                    {"id": e, "src": end(tail), "dst": end(net.head[e]), "winding": len(net.toks[e])}
+                    for e, tail in enumerate(net.tail)
+                    if tail >= 0
                 ],
                 "cut_sequence": [
                     {"edge": owner[t]} if t in owner else {"loop": True}
@@ -734,56 +775,81 @@ class AnnularStrandDiagram:
         )
 
 
+def _tree_darts(bits: str, first: int, left: int) -> tuple[list[int], list[int]]:
+    """The darts that hold the children of a tree's nodes, given as the
+    vertices from dart ``first`` on in preorder: one list for the nodes but
+    the root, in preorder, and one for the leaves.  A node holds its
+    children at slots ``left`` and ``left + 1``; a stack keeps the slots
+    still waiting for a child, the innermost last."""
+    nodes, leaves = [], []
+    waiting: list[int] = []
+    dart = first + left  # the left slot of the next node
+    for b in bits:
+        if waiting:
+            slot = waiting.pop()
+            if slot % 3 == left:
+                waiting.append(slot + 1)
+            (nodes if b == "1" else leaves).append(slot)
+        if b == "1":
+            waiting.append(dart)
+            dart += 3
+    return nodes, leaves
+
+
 def strand_from_pair(p: TreePair) -> StrandDiagram:
-    """Source tree as splits above, target tree as merges below, leaves glued."""
+    """Source tree as splits above, target tree as merges below, leaves glued.
+
+    Vertices: the source, the sink, the source tree's nodes in preorder as
+    splits, then the target tree's as merges.  Edges: the two root edges,
+    the internal edges of each tree, then the leaf strands.
+    """
     net = _Net()
-    source = net.add_vertex(SOURCE)
-    sink = net.add_vertex(SINK)
-    if p.leaf_count == 1:
-        net.add_edge(source, "out", sink, "in")
+    source, sink = 0, 1
+    carets = p.leaf_count - 1
+    net.kind = [SOURCE, SINK] + [SPLIT] * carets + [MERGE] * carets
+    net.att = [-1] * (3 * len(net.kind))
+    if carets == 0:
+        net.add_edge(3 * source, 3 * sink)
         return StrandDiagram(net, source, sink)
 
-    # vertices: the source tree's nodes in preorder as splits, then the
-    # target tree's as merges
-    up_nodes, up_leaf = node_table(p.source)
-    lo_nodes, lo_leaf = node_table(p.target)
-    up = [net.add_vertex(SPLIT) for _ in up_nodes]
-    lo = [net.add_vertex(MERGE) for _ in lo_nodes]
-    net.add_edge(source, "out", up[0], "in")
-    net.add_edge(lo[0], "out", sink, "in")
-    # internal tree edges
-    for i, nd in enumerate(up_nodes[1:], 1):
-        net.add_edge(up[nd.parent], nd.side, up[i], "in")
-    for i, nd in enumerate(lo_nodes[1:], 1):
-        net.add_edge(lo[i], "out", lo[nd.parent], nd.side)
-    # leaf strands
-    for (ui, uside), (li, lside) in zip(up_leaf, lo_leaf):
-        net.add_edge(up[ui], uside, lo[li], lside)
+    up = 6  # the first dart of the first split
+    lo = up + 3 * carets  # and of the first merge
+    up_nodes, up_leaves = _tree_darts(p.source.bits, up, 1)
+    lo_nodes, lo_leaves = _tree_darts(p.target.bits, lo, 0)
+    # the root edges, the internal edges of each tree (a split's in is its
+    # slot 0 and a merge's out its slot 2), then the leaf strands
+    tails = [3 * source, lo + 2, *up_nodes, *range(lo + 5, lo + 3 * carets, 3), *up_leaves]
+    heads = [up, 3 * sink, *range(up + 3, up + 3 * carets, 3), *lo_nodes, *lo_leaves]
+    att = net.att
+    for eid, dart in enumerate(tails):
+        att[dart] = eid
+    for eid, dart in enumerate(heads):
+        att[dart] = eid
+    net.tail, net.head = tails, heads
+    net.toks = [()] * len(tails)
     return StrandDiagram(net, source, sink)
 
 
 def concatenate(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
     """Glue the sink of ``a`` to the source of ``b`` and reduce."""
     net = a._net.copy()
-    offset_v = net._next_v
-    offset_e = net._next_e
     bn = b._net
-    for vid, kind in bn.kind.items():
-        net.kind[vid + offset_v] = kind
-    net._next_v += bn._next_v
-    for eid, rec in bn.edges.items():
-        net.edges[eid + offset_e] = [rec[0] + offset_v, rec[1], rec[2] + offset_v, rec[3], []]
-    for (vid, slot), eid in bn.att.items():
-        net.att[(vid + offset_v, slot)] = eid + offset_e
-    net._next_e += bn._next_e
+    offset_v = len(net.kind)
+    offset_d = 3 * offset_v
+    offset_e = len(net.tail)
+    net.kind += bn.kind
+    net.att += [eid + offset_e if eid >= 0 else -1 for eid in bn.att]
+    net.tail += [d + offset_d if d >= 0 else -1 for d in bn.tail]
+    net.head += [d + offset_d if d >= 0 else -1 for d in bn.head]
+    net.toks += [()] * len(bn.tail)
 
     sink_a = a._sink
     source_b = b._source + offset_v
-    ein = net.att[(sink_a, "in")]
-    eout = net.att[(source_b, "out")]
+    ein = net.att[3 * sink_a]
+    eout = net.att[3 * source_b]
     net._remove_vertex(sink_a)
     net._remove_vertex(source_b)
-    net._resolve_connectors([[ein, eout, []]])
+    net._resolve_connectors([[ein, eout, ()]])
     net.reduce()
     return StrandDiagram(net, a._source, b._sink + offset_v)
 
@@ -791,8 +857,8 @@ def concatenate(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
 def _close(net: _Net, source: int, sink: int) -> AnnularStrandDiagram:
     """:func:`annular_closure` of the diagram that ``net`` holds, made in
     place."""
-    se = net.att[(source, "out")]
-    te = net.att[(sink, "in")]
+    se = net.att[3 * source]
+    te = net.att[3 * sink]
     token = net.new_token()
     net.cut_order = [token]
     if se == te:
@@ -801,15 +867,12 @@ def _close(net: _Net, source: int, sink: int) -> AnnularStrandDiagram:
         net._drop_edge(se)
         net.loop_tokens.append(token)
         return AnnularStrandDiagram(net)
-    top_rec = net.edges[se]
-    bot_rec = net.edges[te]
-    src = (bot_rec[0], bot_rec[1])
-    dst = (top_rec[2], top_rec[3])
+    tail, head = net.tail[te], net.head[se]
     net._drop_edge(se)
     net._drop_edge(te)
     net._remove_vertex(source)
     net._remove_vertex(sink)
-    net.add_edge(src[0], src[1], dst[0], dst[1], [token])
+    net.add_edge(tail, head, (token,))
     return AnnularStrandDiagram(net)
 
 
@@ -818,13 +881,16 @@ def annular_closure(s: StrandDiagram) -> AnnularStrandDiagram:
     return _close(s._net.copy(), s._source, s._sink)
 
 
-def reduce_annular(a: AnnularStrandDiagram) -> AnnularStrandDiagram:
-    """Apply reductions until none fits; the result does not depend on the
-    order (asserted empirically by the order-fuzzing suite)."""
-    net = a._net.copy()
+def _reduced(net: _Net) -> AnnularStrandDiagram:
     net.reduce()
     net.merge_parallel_loops()
     return AnnularStrandDiagram(net)
+
+
+def reduce_annular(a: AnnularStrandDiagram) -> AnnularStrandDiagram:
+    """Apply reductions until none fits; the result does not depend on the
+    order (asserted empirically by the order-fuzzing suite)."""
+    return _reduced(a._net.copy())
 
 
 def canonical_code(a: AnnularStrandDiagram) -> str:
@@ -834,7 +900,7 @@ def canonical_code(a: AnnularStrandDiagram) -> str:
 
 def component_count(a: AnnularStrandDiagram) -> int:
     """Connected components, counting each free loop as one."""
-    return len(a._net.component_edge_sets()) + a.free_loops
+    return len(a._net.component_edges()) + a.free_loops
 
 
 def annular_of(p: TreePair) -> AnnularStrandDiagram:
@@ -843,7 +909,9 @@ def annular_of(p: TreePair) -> AnnularStrandDiagram:
 
 
 def reduced_annular_of(p: TreePair) -> AnnularStrandDiagram:
-    return reduce_annular(annular_of(p))
+    """:func:`reduce_annular` of :func:`annular_of`, reducing the fresh
+    closure in place."""
+    return _reduced(annular_of(p)._net)
 
 
 def are_conjugate(g: TreePair, h: TreePair) -> bool:

@@ -23,6 +23,7 @@ from thomplink import (
     reduce_pair,
     strand_from_pair,
 )
+from thomplink import strand
 from thomplink.strand import _SLOTS, _format_code, annular_of, reduced_annular_of
 from thomplink.trees import random_tree
 from util import X0, X1, rescan_reduced
@@ -31,6 +32,10 @@ from util import X0, X1, rescan_reduced
 def reference_signature(net, start, marks):
     """The traversal signature from ``start``, recomputing every face and
     scanning them all for the two marked ones."""
+
+    def slot_edges(vid):
+        return [net.att[3 * vid + s] for s in range(len(_SLOTS[net.kind[vid]]))]
+
     edge_ix = {start: 0}
     edge_order = [start]
     vert_ix = {}
@@ -40,8 +45,8 @@ def reference_signature(net, start, marks):
     while pos < len(edge_order):
         eid = edge_order[pos]
         pos += 1
-        src_v, _, dst_v, _, tokens = net.edges[eid]
-        w = len(tokens)
+        src_v, dst_v = net.tail[eid] // 3, net.head[eid] // 3
+        w = len(net.toks[eid])
         if src_v not in psi and dst_v not in psi:
             psi[src_v] = 0
         if src_v in psi and dst_v not in psi:
@@ -53,22 +58,25 @@ def reference_signature(net, start, marks):
                 continue
             vert_ix[vid] = len(vert_order)
             vert_order.append(vid)
-            for slot in _SLOTS[net.kind[vid]]:
-                nxt = net.att[(vid, slot)]
+            for nxt in slot_edges(vid):
                 if nxt not in edge_ix:
                     edge_ix[nxt] = len(edge_order)
                     edge_order.append(nxt)
     verts = tuple(
-        (net.kind[vid], tuple(edge_ix[net.att[(vid, slot)]] for slot in _SLOTS[net.kind[vid]]))
-        for vid in vert_order
+        (net.kind[vid], *(edge_ix[nxt] for nxt in slot_edges(vid))) for vid in vert_order
     )
     winds = tuple(
-        len(net.edges[eid][4]) + psi[net.edges[eid][0]] - psi[net.edges[eid][2]]
+        len(net.toks[eid]) + psi[net.tail[eid] // 3] - psi[net.head[eid] // 3]
         for eid in edge_order
     )
-    faces = net._face_orbits()
+    faces = net._face_orbits()[0]
     mark_ids = tuple(
-        min((edge_ix[eid], end) for (eid, end), f in faces.items() if f == face and eid in edge_ix)
+        min(
+            (edge_ix[eid], end)
+            for eid in edge_ix
+            for end, dart in enumerate((net.tail[eid], net.head[eid]))
+            if faces[dart] == face
+        )
         for face in marks
     )
     return (verts, winds, mark_ids)
@@ -78,7 +86,7 @@ def reference_code(a):
     """Canonical code by the exhaustive minimum over every start edge."""
     net = a._net
     items = []
-    for kind, payload in net.radial_items(net._face_orbits()):
+    for kind, payload in net.radial_items(net._face_orbits()[0]):
         if kind == "loop":
             items.append("O")
         else:
@@ -92,16 +100,16 @@ def reference_radial_items(net, faces):
     once per component to find the component's face at every position."""
     pos = {t: i for i, t in enumerate(net.cut_order)}
     comps = []
-    for comp in net.component_edge_sets():
-        token_edge = {t: eid for eid in comp for t in net.edges[eid][4]}
+    for comp in net.component_edges():
+        token_edge = {t: eid for eid in comp for t in net.toks[eid]}
         ordered = sorted(token_edge, key=pos.get)
         gap_face = []
-        current = hole = faces[(token_edge[ordered[0]], 1)]
+        current = hole = faces[net.head[token_edge[ordered[0]]]]
         for t in net.cut_order:
             gap_face.append(current)
             if t in token_edge:
-                assert current == faces[(token_edge[t], 1)]
-                current = faces[(token_edge[t], 0)]
+                assert current == faces[net.head[token_edge[t]]]
+                current = faces[net.tail[token_edge[t]]]
         comps.append({"edges": comp, "min_pos": pos[ordered[0]], "hole": hole,
                       "outer": current, "gap_face": gap_face})
 
@@ -125,6 +133,34 @@ def reference_radial_items(net, faces):
 
     items = [("component", c) for c in comps] + [("loop", t) for t in net.loop_tokens]
     return sorted(items, key=cmp_to_key(cmp))
+
+
+def renumbered(a, rng):
+    """A copy of ``a`` whose vertex, edge and token ids are permuted at
+    random, as is the order of its free loops."""
+    net = a._net
+    vperm = list(range(len(net.kind)))
+    eperm = list(range(len(net.tail)))
+    tperm = list(range(net.token_count))
+    for perm in (vperm, eperm, tperm):
+        rng.shuffle(perm)
+
+    def dart(d):
+        return 3 * vperm[d // 3] + d % 3 if d >= 0 else -1
+
+    out = net.copy()
+    for v, k in enumerate(net.kind):
+        out.kind[vperm[v]] = k
+    for d, e in enumerate(net.att):
+        out.att[dart(d)] = eperm[e] if e >= 0 else -1
+    for e, tokens in enumerate(net.toks):
+        out.tail[eperm[e]] = dart(net.tail[e])
+        out.head[eperm[e]] = dart(net.head[e])
+        out.toks[eperm[e]] = tuple(tperm[t] for t in tokens)
+    out.loop_tokens = [tperm[t] for t in net.loop_tokens]
+    rng.shuffle(out.loop_tokens)
+    out.cut_order = [tperm[t] for t in net.cut_order]
+    return AnnularStrandDiagram(out)
 
 
 def radial_summary(items):
@@ -208,8 +244,7 @@ def test_winding_condition_at_depth():
     assert a.winding_condition_holds()
     # without its cut crossing the closing edge makes a zero-winding cycle
     net = a._net.copy()
-    for rec in net.edges.values():
-        rec[4] = []
+    net.toks = [()] * len(net.toks)
     assert not AnnularStrandDiagram(net).winding_condition_holds()
 
 
@@ -336,6 +371,47 @@ def test_reduction_and_codes_are_pinned():
     assert digest.hexdigest() == "b69e919c008455624f8479fa2beaf6b05757b170f75b8524f2e2b3c276a0ea0c"
 
 
+def test_codes_do_not_depend_on_ids():
+    # the code of a reduced diagram, and its reduction, read the embedding
+    # only: no vertex, edge or token id, and not the order of free loops
+    rng = Random(64)
+    for _ in range(200):
+        g = random_element(rng, 60)
+        a = annular_of(g)
+        r = reduce_annular(a)
+        code = canonical_code(r)
+        s = renumbered(r, rng)
+        assert canonical_code(s) == code
+        assert s.is_reduced
+        t = renumbered(a, rng)
+        assert t.is_reduced == a.is_reduced
+        assert canonical_code(reduce_annular(t)) == code
+
+
+def test_symmetric_closures_cost_two_walks(monkeypatch):
+    # every start of these closures ties with every other, so without the
+    # automorphism skip the code would walk the whole diagram once per edge
+    walks = []
+
+    class CountingWalk(strand._Walk):
+        __slots__ = ()
+
+        def __init__(self, net, start):
+            super().__init__(net, start)
+            walks.append(self)
+
+    monkeypatch.setattr(strand, "_Walk", CountingWalk)
+    for word in ("x0^400", "x1^300"):
+        net = reduced_annular_of(from_word(word))._net
+        vertices = len(net.kind) - net.kind.count(-1)
+        edges = len(net.tail) - net.tail.count(-1)
+        walks.clear()
+        canonical_code(AnnularStrandDiagram(net))
+        # one first entry per start edge, then the entries the walks made
+        entries = edges + sum(len(w.verts) for w in walks)
+        assert entries <= edges + 2 * vertices, word
+
+
 def test_radial_order_matches_whole_cut_walk():
     # wrapped elements, whose component count grows with n, and nets
     # reduced by types I and II only, so that runs of free loops are still
@@ -350,7 +426,7 @@ def test_radial_order_matches_whole_cut_walk():
             nets.append(net)
             loops += 1
     for net in nets:
-        faces = net._face_orbits()
+        faces = net._face_orbits()[0]
         got = radial_summary(net.radial_items(faces))
         assert got == radial_summary(reference_radial_items(net, faces))
 
