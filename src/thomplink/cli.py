@@ -29,7 +29,6 @@ from .links import LinkDiagram, component_count, link_of, simplify
 from .pairs import (
     TreePair,
     Word,
-    WordSyntaxError,
     from_word,
     make_generator,
     reduce_pair,
@@ -52,7 +51,7 @@ def _parse_element(text: str) -> TreePair:
         if text.startswith("{"):
             return TreePair.from_json(text)
         return from_word(Word.parse(text))
-    except (WordSyntaxError, ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # a WordSyntaxError is one
         # the echo is cut short: an input can be megabytes long
         raise DomainError(f"cannot parse element {repr(text)[:80]}: {str(exc)[:160]}") from exc
 

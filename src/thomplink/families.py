@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .pairs import TreePair, from_word, invert, multiply, reduce_pair
-from .trees import BinaryTree, LEAF, _tree, caret, graft, right_comb
+from .trees import BinaryTree, LEAF, _tree, graft, right_comb
 
 __all__ = [
     "element_a",
@@ -87,21 +87,6 @@ def h_element(n: int) -> TreePair:
     """Positive element whose source hangs T_n under the right leaf of a caret."""
     src = BinaryTree(LEAF, tree_T(n))
     return TreePair(src, right_comb(src.leaf_count))
-
-
-def _fast_conjugate_shape(g: TreePair, x_index: int) -> TreePair:
-    """Caret-attachment form of ``g x_i g^-1`` for positive ``g``.
-
-    For ``x0`` the conjugate's source is g's source tree with a caret on the
-    leftmost leaf and its target the same tree with a caret on the rightmost
-    leaf; for ``x1`` the source caret goes on the second leaf from the left.
-    """
-    base = reduce_pair(g).source
-    source_leaf = 0 if x_index == 0 else 1
-    return TreePair(
-        graft(base, source_leaf, caret()),
-        graft(base, base.leaf_count - 1, caret()),
-    )
 
 
 def conjugate(g: TreePair, x: TreePair) -> TreePair:

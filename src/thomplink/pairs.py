@@ -34,6 +34,7 @@ from .trees import (
     right_comb,
     split_along,
     tree_from_bits,
+    tree_from_exponents,
 )
 
 __all__ = [
@@ -86,7 +87,15 @@ class TreePair:
             data = json.loads(text)
         except RecursionError:
             raise ValueError("tree-pair JSON is nested too deeply") from None
-        return cls(tree_from_bits(data["source"]), tree_from_bits(data["target"]))
+        if not isinstance(data, dict):
+            raise ValueError("tree-pair JSON must be an object with source and target")
+        trees = []
+        for field in ("source", "target"):
+            bits = data.get(field)
+            if not isinstance(bits, str):
+                raise ValueError(f"tree-pair JSON needs a bitstring in {field!r}")
+            trees.append(tree_from_bits(bits))
+        return cls(*trees)
 
     def __eq__(self, other) -> bool:
         """Structural equality; use :func:`equals` for group-element equality."""
@@ -248,30 +257,54 @@ class Word:
 
 
 def from_word(w: Word | str) -> TreePair:
-    """Reduced tree pair of a generator word, multiplied left to right."""
+    """Reduced tree pair of a generator word.
+
+    The word is read as blocks P N^-1, each a run of positive factors with
+    strictly increasing indices and then a run of negative factors with
+    strictly decreasing indices; a normal-form word is one block.  A run is
+    the tree of its exponents over a right comb, so its block is the pair of
+    the two trees, the smaller padded with a right comb at its last leaf.
+    Successive blocks are multiplied, so a normal form needs no multiply.
+    """
     if isinstance(w, str):
         w = Word.parse(w)
     if sum(i + abs(e) + 2 for i, e in w.factors) > MAX_WORD_LEAVES:
         raise ValueError(f"the word could build more than the bound of {MAX_WORD_LEAVES} leaves")
-    acc = identity()
-    for index, exponent in w.factors:
-        gen = make_generator(index)
-        if exponent < 0:
-            gen = invert(gen)
-        acc = multiply(acc, _power(gen, abs(exponent)))
+    acc = None
+    for positive, negative in _blocks(w.factors):
+        block = _block_pair(positive, negative)
+        acc = reduce_pair(block) if acc is None else multiply(acc, block)
     return acc
 
 
-def _power(p: TreePair, k: int) -> TreePair:
-    """``p`` to the positive power ``k``, by repeated squaring."""
-    result = None
-    while True:
-        if k & 1:
-            result = p if result is None else multiply(result, p)
-        k >>= 1
-        if not k:
-            return result
-        p = multiply(p, p)
+def _blocks(factors) -> list[tuple[list, list]]:
+    """The word's factors cut into (positive run, negative run) blocks of
+    (index, |exponent|) factors in the word's order; the empty word is one
+    empty block."""
+    blocks = [([], [])]
+    for i, e in factors:
+        positive, negative = blocks[-1]
+        if e > 0 and not negative and (not positive or i > positive[-1][0]):
+            positive.append((i, e))
+        elif e < 0 and (not negative or i < negative[-1][0]):
+            negative.append((i, -e))
+        else:
+            blocks.append(([(i, e)], []) if e > 0 else ([], [(i, -e)]))
+    return blocks
+
+
+def _block_pair(positive, negative) -> TreePair:
+    """The pair of P N^-1 from P's ascending and N^-1's descending factors."""
+    source, target = tree_from_exponents(positive), tree_from_exponents(negative[::-1])
+    n = max(source.leaf_count, target.leaf_count)
+    return TreePair(_pad(source, n), _pad(target, n))
+
+
+def _pad(t: BinaryTree, n: int) -> BinaryTree:
+    """``t`` with a right comb grafted at its last leaf, to ``n`` leaves."""
+    if n == t.leaf_count:
+        return t
+    return _tree(t.bits[:-1] + "10" * (n - t.leaf_count) + "0")
 
 
 def _positive_factors(tree: BinaryTree) -> list[tuple[int, int]]:

@@ -32,6 +32,7 @@ __all__ = [
     "split_along",
     "common_refinement",
     "leaf_exponents",
+    "tree_from_exponents",
     "random_tree",
 ]
 
@@ -245,6 +246,33 @@ def leaf_exponents(t: BinaryTree) -> list[int]:
         exponents.append(max(0, chain - 1 if need == 1 else chain))
         need += chain - 1
     return exponents
+
+
+def tree_from_exponents(factors) -> BinaryTree:
+    """The least tree carrying the positive word of ``(k, e)`` factors, with
+    ``k`` strictly ascending and every ``e`` positive: the inverse of
+    :func:`leaf_exponents`, which reads ``e`` at each leaf ``k`` and 0 at
+    every other leaf off the result.
+
+    Leaf ``k``'s chain is ``e`` left-child edges, one more when its top sits
+    on the right spine.  A leaf with exponent 0 is a bare ``0`` while
+    subtrees are open off the spine and a spine caret's ``10`` after that,
+    and the tree ends by closing every subtree still open.
+    """
+    out: list[str] = []
+    need = 1  # subtrees still to write; 1 exactly on the right spine
+    leaf = 0  # the next leaf to write
+    for k, e in factors:
+        if k < leaf or e < 1:
+            raise ValueError("factors need strictly ascending leaves and positive exponents")
+        bare = min(k - leaf, need - 1)
+        need -= bare
+        chain = e + (need == 1)
+        out += ("0" * bare, "10" * (k - leaf - bare), "1" * chain, "0")
+        need += chain - 1
+        leaf = k + 1
+    out.append("0" * need)
+    return _tree("".join(out))
 
 
 def random_tree(n_leaves: int, rng: Random) -> BinaryTree:

@@ -238,6 +238,22 @@ def test_fuzzed_input_never_crashes(capsys):
         assert (status == 0) == ("error:" not in err), argv
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"source":"0"}', "target"),
+        ('{"source": 1, "target": "0"}', "source"),
+        ('{"target": "0"}', "source"),
+        ('{"source": "0", "target": ["0"]}', "target"),
+        ('{"source": "0", "target": null}', "target"),
+    ],
+)
+def test_pair_json_errors_name_the_field(capsys, text, field):
+    code, out, err = run(capsys, "element", "parse", text)
+    assert code == 1 and out == ""
+    assert f"needs a bitstring in '{field}'" in err, err
+
+
 def test_error_lines_do_not_echo_whole_inputs(capsys):
     for text in ('{"source": ' + "[" * 100000, "x" + "y" * 100000, '{"source": "1' + "0" * 100000 + '", "target": "0"}'):
         assert main(["element", "parse", text]) == 1

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+import thomplink.pairs
 from thomplink import (
     TreePair,
     Word,
@@ -19,8 +20,8 @@ from thomplink import (
     to_word,
 )
 from thomplink.pairs import MAX_WORD_LEAVES
-from thomplink.trees import common_refinement, graft_all, split_along
-from util import rescan_reduce_pair, unreduced_pair
+from thomplink.trees import common_refinement, graft_all, random_tree, split_along, tree_from_bits
+from util import factor_product, rescan_reduce_pair, unreduced_pair
 
 
 def test_generator_shapes():
@@ -165,7 +166,7 @@ def test_word_size_bound():
 
 
 def test_powers_match_repeated_multiplication():
-    # from_word raises a factor to its power by squaring
+    # from_word writes a power as the tree of its exponent, with no product
     for k in range(4):
         for sign in (1, -1):
             gen = make_generator(k) if sign > 0 else invert(make_generator(k))
@@ -176,6 +177,59 @@ def test_powers_match_repeated_multiplication():
     assert from_word("x1^5 x0^-7 x2^3") == multiply(
         multiply(from_word("x1^5"), from_word("x0^-7")), from_word("x2^3")
     )
+
+
+def _random_word(rng: Random) -> Word:
+    """Up to eight factors in any index order, indices repeating, signs mixed
+    and exponents up to 6 in size."""
+    return Word(
+        (rng.randint(0, 5), rng.choice((-1, 1)) * rng.randint(1, 6))
+        for _ in range(rng.randint(0, 8))
+    )
+
+
+def test_from_word_matches_factor_product_fuzz():
+    rng = Random(15)
+    words = [Word(), Word.parse("")] + [_random_word(rng) for _ in range(2000)]
+    # normal forms, and words that start or end at either sign
+    words += [to_word(random_element(rng, 12)) for _ in range(200)]
+    words += [Word.parse(text) for text in ("x2^-1 x0", "x0 x2 x1", "x3^-2 x1^-1 x2^-4", "x1^-1 x1^2")]
+    for w in words:
+        assert from_word(w) == factor_product(w), w
+
+
+def _left_combs(rng: Random, n: int):
+    """A random tree of up to 8 leaves with a left comb at each leaf, ``n``
+    leaves in all."""
+    k = rng.randint(1, 8)
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    return graft_all(random_tree(k, rng), [tree_from_bits("1" * (m - 1) + "0" * m) for m in sizes])
+
+
+def test_normal_forms_need_no_multiply(monkeypatch):
+    rng = Random(16)
+    elements = [random_element(rng, 12) for _ in range(190)]
+    # A random tree pair of 1,000 leaves has hundreds of factors at high
+    # indices, past the word size bound; left combs grafted at the leaves of
+    # small random trees give a few factors with indices and exponents in
+    # the thousands.  The two trees can share carets, so keep the pairs that
+    # stay large after reduction.
+    large = []
+    while len(large) < 10:
+        n = rng.randint(1000, 3000)
+        g = reduce_pair(TreePair(_left_combs(rng, n), _left_combs(rng, n)))
+        if g.leaf_count >= 1000:
+            large.append(g)
+    elements += large
+
+    def refuse(p, q):
+        raise AssertionError("a normal-form word was multiplied out")
+
+    monkeypatch.setattr(thomplink.pairs, "multiply", refuse)
+    for g in elements:
+        assert from_word(to_word(g)) == g
+    assert from_word(f"x0^{MAX_WORD_LEAVES // 4}").leaf_count == MAX_WORD_LEAVES // 4 + 2
 
 
 def test_word_round_trip_fuzz():

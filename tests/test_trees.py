@@ -16,6 +16,7 @@ from thomplink.trees import (
     right_comb,
     split_along,
     tree_from_bits,
+    tree_from_exponents,
 )
 
 
@@ -73,6 +74,25 @@ def test_leaf_exponents_known_values():
     # source/target trees of x0^3 x2^-1 x0^-3
     assert leaf_exponents(tree_from_bits("111000100")) == [2, 0, 0, 0, 0]
     assert leaf_exponents(tree_from_bits("111010000")) == [2, 1, 0, 0, 0]
+
+
+def test_tree_from_exponents_inverts_leaf_exponents():
+    assert tree_from_exponents([]) == LEAF
+    assert tree_from_exponents([(0, 1)]).bits == "11000"  # x0 source
+    assert tree_from_exponents([(1, 1)]).bits == "1011000"  # x1 source
+    assert tree_from_exponents([(0, 2), (1, 1)]).bits == "111010000"
+    rng = Random(9)
+    for _ in range(300):
+        t = random_tree(rng.randint(1, 40), rng)
+        exponents = leaf_exponents(t)
+        u = tree_from_exponents([(k, e) for k, e in enumerate(exponents) if e])
+        # t is the least tree with a right comb grafted at its last leaf
+        assert u.leaf_count <= t.leaf_count
+        assert t.bits == u.bits[:-1] + "10" * (t.leaf_count - u.leaf_count) + "0"
+        assert leaf_exponents(u) == exponents[: u.leaf_count]
+    for bad in ([(1, 1), (1, 2)], [(2, 1), (0, 1)], [(0, 0)], [(0, -1)]):
+        with pytest.raises(ValueError):
+            tree_from_exponents(bad)
 
 
 def test_random_tree_draw_order():

@@ -9,13 +9,18 @@ from thomplink import (
     LaurentPolynomial,
     LinkDiagram,
     TreePair,
+    Word,
     direct_link,
+    identity,
+    invert,
     make_generator,
+    multiply,
     random_element,
+    reduce_pair,
 )
 from thomplink.links import _join
 from thomplink.strand import _Cut
-from thomplink.trees import graft, random_tree, tree_from_bits
+from thomplink.trees import caret, graft, random_tree, tree_from_bits
 
 
 def graft_element(p: TreePair, leaf: int, g: TreePair) -> TreePair:
@@ -64,6 +69,45 @@ def rescan_reduce_pair(p: TreePair) -> TreePair:
             return TreePair(tree_from_bits(source), tree_from_bits(target))
         i = min(shared)
         source, target = _remove_caret(source, i), _remove_caret(target, i)
+
+
+def _power(p: TreePair, k: int) -> TreePair:
+    """``p`` to the positive power ``k``, by repeated squaring."""
+    result = None
+    while True:
+        if k & 1:
+            result = p if result is None else multiply(result, p)
+        k >>= 1
+        if not k:
+            return result
+        p = multiply(p, p)
+
+
+def factor_product(w: Word) -> TreePair:
+    """The tree pair of a word multiplied out one factor at a time, each
+    generator raised to its power by repeated squaring."""
+    acc = identity()
+    for index, exponent in w.factors:
+        gen = make_generator(index)
+        if exponent < 0:
+            gen = invert(gen)
+        acc = multiply(acc, _power(gen, abs(exponent)))
+    return acc
+
+
+def fast_conjugate_shape(g: TreePair, x_index: int) -> TreePair:
+    """Caret-attachment form of ``g x_i g^-1`` for positive ``g``.
+
+    For ``x0`` the conjugate's source is g's source tree with a caret on the
+    leftmost leaf and its target the same tree with a caret on the rightmost
+    leaf; for ``x1`` the source caret goes on the second leaf from the left.
+    """
+    base = reduce_pair(g).source
+    source_leaf = 0 if x_index == 0 else 1
+    return TreePair(
+        graft(base, source_leaf, caret()),
+        graft(base, base.leaf_count - 1, caret()),
+    )
 
 
 def rescan_reduced(a, rng=None):
