@@ -19,10 +19,6 @@ class LaurentPolynomial:
                 if c:
                     self.coeffs[int(e)] = int(c)
 
-    @classmethod
-    def monomial(cls, coefficient: int, exponent: int) -> "LaurentPolynomial":
-        return cls({exponent: coefficient})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

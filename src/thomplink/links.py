@@ -11,8 +11,10 @@ over, on a negative arc the other one does.  ``direct_link`` builds the
 closure of the tree diagram itself: one connecting edge through each leaf
 gap plus one around the outside joining the two roots, after which every
 internal tree node is 4-valent and becomes a crossing whose overstrand is
-the pair of child edges.  Both produce one crossing per internal tree
-node, ``2 * (leaves - 1)`` in total, and the same link.
+the pair of child edges.  Its darts come from :func:`trees.tree_darts`,
+the bitstring walk that ``strand.strand_from_pair`` builds on.  Both
+routes produce one crossing per internal tree node, ``2 * (leaves - 1)``
+in total, and the same link.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import compress
 
 from .pairs import TreePair
 from .tait import UPPER, TaitGraph, tait_graph
-from .trees import node_table
+from .trees import tree_darts
 
 __all__ = [
     "LinkDiagram",
@@ -192,47 +194,28 @@ def medial_link(t: TaitGraph) -> LinkDiagram:
 # ---------------------------------------------------------------------------
 
 
-# Crossing slot layout (counterclockwise, understrand at slots 0 and 2):
-# source-tree node: (parent edge, left child, gap edge, right child)
-# target-tree node: (parent edge, right child, gap edge, left child)
-_SRC_SLOT = {"parent": 0, "L": 1, "gap": 2, "R": 3}
-_TGT_SLOT = {"parent": 0, "R": 1, "gap": 2, "L": 3}
-
-
 def direct_link(p: TreePair) -> LinkDiagram:
     """Closure of the tree diagram with child edges as overstrands."""
     n = p.leaf_count
     if n == 1:
         return LinkDiagram((), free_loops=1)
-    # crossings: the source tree's nodes in preorder, then the target's
-    up_nodes, up_leaf = node_table(p.source)
-    lo_nodes, lo_leaf = node_table(p.target)
-    shift = len(up_nodes)
-    crossings: list[list] = [[None] * 4 for _ in range(shift + len(lo_nodes))]
-    arc = 0
-    # leaf strands
-    for (ui, uside), (li, lside) in zip(up_leaf, lo_leaf):
-        crossings[ui][_SRC_SLOT[uside]] = arc
-        crossings[shift + li][_TGT_SLOT[lside]] = arc
-        arc += 1
-    # internal tree edges
-    for nodes, base, slots in ((up_nodes, 0, _SRC_SLOT), (lo_nodes, shift, _TGT_SLOT)):
-        for i, nd in enumerate(nodes[1:], base + 1):
-            crossings[i][slots["parent"]] = arc
-            crossings[base + nd.parent][slots[nd.side]] = arc
-            arc += 1
-    # one connecting edge through each interior gap
-    up_gap = {nd.gap: i for i, nd in enumerate(up_nodes)}
-    lo_gap = {nd.gap: shift + i for i, nd in enumerate(lo_nodes)}
-    for gap in range(1, n):
-        crossings[up_gap[gap]][_SRC_SLOT["gap"]] = arc
-        crossings[lo_gap[gap]][_TGT_SLOT["gap"]] = arc
-        arc += 1
-    # the closure edge around the outside joins the two roots
-    crossings[0][_SRC_SLOT["parent"]] = arc
-    crossings[shift][_TGT_SLOT["parent"]] = arc
-
-    return LinkDiagram(crossings, free_loops=0)
+    # crossings: the source tree's nodes in preorder, then the target's.
+    # Counterclockwise from slot 0 a source node holds (parent edge, left
+    # child, gap edge, right child) and a target node (parent edge, right
+    # child, gap edge, left child): a gap edge sits at slot 2, next to the
+    # right child at slot 3 (d ^ 1) or slot 1 (d ^ 3).
+    lo = 4 * (n - 1)  # the first dart of the target's root
+    up_nodes, up_leaves, up_gaps = tree_darts(p.source, 0, 4, 1, 3)
+    lo_nodes, lo_leaves, lo_gaps = tree_darts(p.target, lo, 4, 3, 1)
+    # arcs: the leaf strands, each tree's internal edges (a node's slot 0 to
+    # its slot in its parent), one edge through each gap 1..n-1, and the
+    # closure edge around the outside joining the two roots
+    tails = [*up_leaves, *range(4, lo, 4), *range(lo + 4, 2 * lo, 4), *(d ^ 1 for d in up_gaps), 0]
+    heads = [*lo_leaves, *up_nodes, *lo_nodes, *(d ^ 3 for d in lo_gaps), lo]
+    labels = [0] * (2 * lo)
+    for arc, (a, b) in enumerate(zip(tails, heads)):
+        labels[a] = labels[b] = arc
+    return LinkDiagram(zip(*[iter(labels)] * 4), free_loops=0)  # 4 labels a crossing
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,10 @@ def identity() -> TreePair:
     return TreePair(LEAF, LEAF)
 
 
-# x_i^k has i + |k| + 2 leaves and a product at most its factors' sum, so a
-# word whose sum exceeds this bound is refused before anything is built
+# A word is built block by block (see from_word).  A block's pair has at
+# most its highest index plus its summed |exponents| plus 2 leaves, and a
+# product at most its factors' sum, so a word whose blocks' bounds sum past
+# this is refused before anything is built
 MAX_WORD_LEAVES = 100_000
 
 
@@ -268,10 +270,11 @@ def from_word(w: Word | str) -> TreePair:
     """
     if isinstance(w, str):
         w = Word.parse(w)
-    if sum(i + abs(e) + 2 for i, e in w.factors) > MAX_WORD_LEAVES:
+    blocks = _blocks(w.factors)
+    if sum(map(_block_leaf_bound, blocks)) > MAX_WORD_LEAVES:
         raise ValueError(f"the word could build more than the bound of {MAX_WORD_LEAVES} leaves")
     acc = None
-    for positive, negative in _blocks(w.factors):
+    for positive, negative in blocks:
         block = _block_pair(positive, negative)
         acc = reduce_pair(block) if acc is None else multiply(acc, block)
     return acc
@@ -291,6 +294,13 @@ def _blocks(factors) -> list[tuple[list, list]]:
         else:
             blocks.append(([(i, e)], []) if e > 0 else ([], [(i, -e)]))
     return blocks
+
+
+def _block_leaf_bound(block) -> int:
+    """At least the leaves of a block's pair: its highest index plus its
+    summed exponents plus 2."""
+    factors = block[0] + block[1]
+    return max((i for i, _ in factors), default=0) + sum(e for _, e in factors) + 2
 
 
 def _block_pair(positive, negative) -> TreePair:

@@ -45,6 +45,7 @@ from functools import cmp_to_key
 from heapq import heappop, heappush
 
 from .pairs import TreePair
+from .trees import tree_darts
 
 __all__ = [
     "StrandDiagram",
@@ -775,27 +776,6 @@ class AnnularStrandDiagram:
         )
 
 
-def _tree_darts(bits: str, first: int, left: int) -> tuple[list[int], list[int]]:
-    """The darts that hold the children of a tree's nodes, given as the
-    vertices from dart ``first`` on in preorder: one list for the nodes but
-    the root, in preorder, and one for the leaves.  A node holds its
-    children at slots ``left`` and ``left + 1``; a stack keeps the slots
-    still waiting for a child, the innermost last."""
-    nodes, leaves = [], []
-    waiting: list[int] = []
-    dart = first + left  # the left slot of the next node
-    for b in bits:
-        if waiting:
-            slot = waiting.pop()
-            if slot % 3 == left:
-                waiting.append(slot + 1)
-            (nodes if b == "1" else leaves).append(slot)
-        if b == "1":
-            waiting.append(dart)
-            dart += 3
-    return nodes, leaves
-
-
 def strand_from_pair(p: TreePair) -> StrandDiagram:
     """Source tree as splits above, target tree as merges below, leaves glued.
 
@@ -814,8 +794,9 @@ def strand_from_pair(p: TreePair) -> StrandDiagram:
 
     up = 6  # the first dart of the first split
     lo = up + 3 * carets  # and of the first merge
-    up_nodes, up_leaves = _tree_darts(p.source.bits, up, 1)
-    lo_nodes, lo_leaves = _tree_darts(p.target.bits, lo, 0)
+    # a split holds its children at slots 1 and 2, a merge at 0 and 1
+    up_nodes, up_leaves, _ = tree_darts(p.source, up, 3, 1, 2)
+    lo_nodes, lo_leaves, _ = tree_darts(p.target, lo, 3, 0, 1)
     # the root edges, the internal edges of each tree (a split's in is its
     # slot 0 and a merge's out its slot 2), then the leaf strands
     tails = [3 * source, lo + 2, *up_nodes, *range(lo + 5, lo + 3 * carets, 3), *up_leaves]

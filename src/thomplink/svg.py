@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .pairs import TreePair
 from .tait import UPPER, TaitGraph
-from .trees import BinaryTree, node_table
+from .trees import BinaryTree, node_spans
 
 __all__ = ["tree_pair_svg", "tait_graph_svg", "direct_link_svg"]
 
@@ -12,27 +12,38 @@ _SCALE = 40
 _HEADER = '<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}" width="{w}" height="{h}">'
 
 
+def _span_ends(first: list[int], gap: list[int]) -> list[int]:
+    """The end, just past the last leaf, of each node of :func:`node_spans`.
+    Node ``j = i + gap - first`` follows node i's left subtree: it is node
+    i's right child if it starts at the gap, else that child is a leaf."""
+    end = [0] * len(first)
+    for i in reversed(range(len(first))):
+        j = i + gap[i] - first[i]
+        end[i] = end[j] if j < len(first) and first[j] == gap[i] else gap[i] + 1
+    return end
+
+
 def _tree_layout(tree: BinaryTree, flip: bool, out: list[str]) -> tuple[list, list]:
-    """Draw ``tree`` above the leaf line (below it if ``flip``); returns its
-    node table and the (x, y) of each node.
+    """Draw ``tree`` above the leaf line (below it if ``flip``); returns the
+    gap and the (x, y) of each node in preorder.
 
     A node sits above the midpoint of its children, one step beyond the
     farther of the two.  Nodes are drawn in postorder, each after its
     subtrees, as a line to the left child and then one to the right child.
     """
     sign = -1 if flip else 1
-    nodes, _ = node_table(tree)
-    pos: list[tuple[float, float]] = [(0.0, 0.0)] * len(nodes)
+    first, gap = node_spans(tree)
+    end = _span_ends(first, gap)
+    pos: list[tuple[float, float]] = [(0.0, 0.0)] * len(first)
 
     def child(i: int, first: int, last: int) -> tuple[float, float]:
         # the child of node i spanning leaves first..last-1, a leaf or node
         return (first * _SCALE, 0.0) if last - first == 1 else pos[i]
 
     # postorder: a node closes after every node below it
-    for i in sorted(range(len(nodes)), key=lambda i: (nodes[i].end, -i)):
-        nd = nodes[i]
-        lx, ly = child(i + 1, nd.first, nd.gap)
-        rx, ry = child(i + nd.gap - nd.first, nd.gap, nd.end)
+    for i in sorted(range(len(first)), key=lambda i: (end[i], -i)):
+        lx, ly = child(i + 1, first[i], gap[i])
+        rx, ry = child(i + gap[i] - first[i], gap[i], end[i])
         x = (lx + rx) / 2
         y = sign * (min(ly * sign, ry * sign) - _SCALE)
         pos[i] = (x, y)
@@ -41,7 +52,7 @@ def _tree_layout(tree: BinaryTree, flip: bool, out: list[str]) -> tuple[list, li
                 f'<line x1="{x:.1f}" y1="{y:.1f}" x2="{cx:.1f}" y2="{cy:.1f}" '
                 'stroke="black" stroke-width="2"/>'
             )
-    return nodes, pos
+    return gap, pos
 
 
 def _wrap(body: list[str], x0: float, y0: float, x1: float, y1: float) -> str:
@@ -95,14 +106,13 @@ def direct_link_svg(p: TreePair) -> str:
         body.append(f'<circle cx="0" cy="0" r="{_SCALE}" fill="none" stroke="black" stroke-width="2"/>')
         return _wrap(body, -_SCALE, -_SCALE, _SCALE, _SCALE)
 
-    up_nodes, up_pos = _tree_layout(p.source, False, body)
-    lo_nodes, lo_pos = _tree_layout(p.target, True, body)
-    up_gap = {nd.gap: xy for nd, xy in zip(up_nodes, up_pos)}
-    lo_gap = {nd.gap: xy for nd, xy in zip(lo_nodes, lo_pos)}
-    for gap in range(1, n):
+    up_gaps, up_pos = _tree_layout(p.source, False, body)
+    lo_gaps, lo_pos = _tree_layout(p.target, True, body)
+    # each tree has one node at every gap 1..n-1: pair them in gap order
+    up_by_gap = sorted(zip(up_gaps, up_pos))
+    lo_by_gap = sorted(zip(lo_gaps, lo_pos))
+    for (gap, (ux, uy)), (_, (lx, ly)) in zip(up_by_gap, lo_by_gap):
         x = (gap - 0.5) * _SCALE
-        ux, uy = up_gap[gap]
-        lx, ly = lo_gap[gap]
         body.append(
             f'<path d="M {ux:.1f} {uy:.1f} Q {x:.1f} 0 {lx:.1f} {ly:.1f}" '
             'fill="none" stroke="green" stroke-width="1.5"/>'

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .pairs import TreePair
-from .trees import BinaryTree, node_table
+from .trees import BinaryTree, node_spans
 
 __all__ = ["TaitEdge", "TaitGraph", "tait_graph"]
 
@@ -103,7 +103,8 @@ def _edge_key(e: TaitEdge):
 
 def _tree_arcs(tree: BinaryTree, half: str) -> list[TaitEdge]:
     sign = 1 if half == UPPER else -1
-    return [TaitEdge(nd.first, nd.gap, half, sign) for nd in node_table(tree)[0]]
+    first, gap = node_spans(tree)
+    return [TaitEdge(a, b, half, sign) for a, b in zip(first, gap)]
 
 
 def tait_graph(p: TreePair) -> TaitGraph:

@@ -21,12 +21,12 @@ from random import Random
 __all__ = [
     "BinaryTree",
     "LEAF",
-    "TreeNode",
     "caret",
     "right_comb",
     "is_right_comb",
     "tree_from_bits",
-    "node_table",
+    "tree_darts",
+    "node_spans",
     "graft",
     "graft_all",
     "split_along",
@@ -118,58 +118,50 @@ def tree_from_bits(bits: str) -> BinaryTree:
     return _tree(bits)
 
 
-class TreeNode:
-    """One internal node of a tree, with its place in the leaf line.
+def tree_darts(
+    t: BinaryTree, first: int, stride: int, left: int, right: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The darts that hold the children of ``t``'s internal nodes, when node
+    ``i`` in preorder owns darts ``first + stride * i`` on (``first`` a
+    multiple of ``stride``) and holds its children at the slots ``left`` and
+    ``right`` of those.  Returns three lists: the dart holding each node but
+    the root, in preorder; the dart holding each leaf; and the right-child
+    darts in the order their subtrees start, which is gap order 1..n-1.
 
-    The node's leaves are ``first .. end - 1``; its right subtree starts at
-    leaf ``gap``, so the Tait vertex between its two subtrees is ``gap``.
-    ``parent`` is the preorder index of the parent node (-1 at the root)
-    and ``side`` is ``"L"`` or ``"R"`` as a child of it (None at the root).
+    The one walk over a bitstring that keeps a stack of the slots still
+    waiting for a child, the innermost last.
     """
-
-    __slots__ = ("first", "gap", "end", "parent", "side")
-
-    def __init__(self, first: int, parent: int, side: str | None):
-        self.first = first
-        self.gap = -1  # set once the left subtree is read
-        self.end = -1  # set once the right subtree is read
-        self.parent = parent
-        self.side = side
-
-
-def node_table(t: BinaryTree) -> tuple[list[TreeNode], list[tuple[int, str | None]]]:
-    """The internal nodes of ``t`` in preorder, and for each leaf the
-    (node index, side) that holds it; a lone leaf is held by (-1, None).
-
-    One pass over the bitstring with a stack of the nodes whose subtrees
-    are still open.
-    """
-    nodes: list[TreeNode] = []
-    holders: list[tuple[int, str | None]] = []
-    open_nodes: list[int] = []
-    leaf = 0
+    nodes, leaves, gaps = [], [], []
+    waiting: list[int] = []
+    dart = first + left  # the left slot of the next node
     for b in t.bits:
-        if open_nodes:
-            parent = open_nodes[-1]
-            side = "L" if nodes[parent].gap < 0 else "R"
-        else:
-            parent, side = -1, None
+        if waiting:
+            slot = waiting.pop()
+            if slot % stride == left:
+                waiting.append(slot - left + right)
+            else:
+                gaps.append(slot)
+            (nodes if b == "1" else leaves).append(slot)
         if b == "1":
-            open_nodes.append(len(nodes))
-            nodes.append(TreeNode(leaf, parent, side))
-            continue
-        holders.append((parent, side))
-        leaf += 1
-        # the leaf may finish the left subtree of the innermost open node,
-        # or the right subtrees of several nodes at once
-        while open_nodes:
-            nd = nodes[open_nodes[-1]]
-            if nd.gap < 0:
-                nd.gap = leaf
-                break
-            nd.end = leaf
-            open_nodes.pop()
-    return nodes, holders
+            waiting.append(dart)
+            dart += stride
+    return nodes, leaves, gaps
+
+
+def node_spans(t: BinaryTree) -> tuple[list[int], list[int]]:
+    """For each internal node of ``t`` in preorder: its first leaf, and its
+    gap (the first leaf of its right subtree, where its Tait arc ends), read
+    off :func:`tree_darts` with node ``i`` holding its children at darts
+    ``2i`` and ``2i + 1``."""
+    nodes, _, gaps = tree_darts(t, 0, 2, 0, 1)
+    gap = [0] * len(gaps)
+    for g, d in enumerate(gaps, 1):
+        gap[d >> 1] = g
+    first = [0] * len(gaps)
+    for i, d in enumerate(nodes, 1):
+        # a left child starts where its parent does, a right child at its gap
+        first[i] = gap[d >> 1] if d & 1 else first[d >> 1]
+    return first, gap
 
 
 def graft(t: BinaryTree, leaf_index: int, sub: BinaryTree) -> BinaryTree:

@@ -9,7 +9,8 @@ import pytest
 
 import thomplink
 from thomplink.cli import main
-from thomplink.pairs import MAX_WORD_LEAVES
+from thomplink.pairs import MAX_WORD_LEAVES, TreePair, reduce_pair
+from thomplink.trees import random_tree
 
 
 def run_child(argv, **kwargs):
@@ -39,6 +40,19 @@ def test_element_word_and_json(capsys):
     code, out, _ = run(capsys, "element", "parse", "x1", "--format", "json")
     data = json.loads(out)
     assert data["schema"] == 1 and data["leaves"] == 4
+
+
+def test_large_element_word_round_trip(capsys):
+    # the word of a random element of about 3,000 leaves parses back to it
+    rng = Random(41)
+    p = reduce_pair(TreePair(random_tree(3000, rng), random_tree(3000, rng)))
+    assert p.leaf_count > 2500
+    code, word, _ = run(capsys, "element", "word", p.to_json())
+    assert code == 0
+    code, out, _ = run(capsys, "element", "parse", word, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["source"], data["target"]) == (p.source.bits, p.target.bits)
 
 
 def test_element_accepts_pair_json(capsys):

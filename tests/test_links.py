@@ -26,7 +26,7 @@ from thomplink import (
     simplify,
     tait_graph,
 )
-from util import graft_element, unreduced_pair, with_kink, X0, X1
+from util import graft_element, reference_direct_link, unreduced_pair, with_kink, X0, X1
 
 
 def test_identity_diagrams():
@@ -101,6 +101,15 @@ def test_route_equivalence_fuzz():
         b1 = kauffman_bracket(simplify(medial_link(tait_graph(p))).diagram)
         b2 = kauffman_bracket(simplify(direct_link(p)).diagram)
         assert equivalent_up_to_units(b1, b2, 4), p
+
+
+def test_direct_link_matches_reference_builder():
+    # the walk-based builder writes the very PD code the record-based one does
+    rng = Random(35)
+    for k in range(600):
+        leaves = rng.randint(1, 40)
+        p = unreduced_pair(rng, leaves) if k % 2 else random_element(rng, leaves)
+        assert direct_link(p).crossings == reference_direct_link(p).crossings, p
 
 
 def test_expansion_adds_only_trivial_components():

@@ -19,7 +19,7 @@ from thomplink import (
     reduce_pair,
     to_word,
 )
-from thomplink.pairs import MAX_WORD_LEAVES
+from thomplink.pairs import MAX_WORD_LEAVES, _block_leaf_bound, _block_pair, _blocks
 from thomplink.trees import common_refinement, graft_all, random_tree, split_along, tree_from_bits
 from util import factor_product, rescan_reduce_pair, unreduced_pair
 
@@ -153,8 +153,8 @@ def test_from_word_basics():
 
 
 def test_word_size_bound():
-    # x_i^k has i + |k| + 2 leaves; a word is refused on that sum before
-    # anything is built
+    # a word is refused before anything is built when its blocks' bounds
+    # (highest index + summed |exponents| + 2 each) sum past the bound
     for word in (f"x0^{MAX_WORD_LEAVES - 1}", f"x0^-{MAX_WORD_LEAVES}", f"x{MAX_WORD_LEAVES}",
                  f"x2^{MAX_WORD_LEAVES // 2} x3^-{MAX_WORD_LEAVES // 2}", "x99999999999999999999"):
         with pytest.raises(ValueError):
@@ -207,13 +207,34 @@ def _left_combs(rng: Random, n: int):
     return graft_all(random_tree(k, rng), [tree_from_bits("1" * (m - 1) + "0" * m) for m in sizes])
 
 
+def test_word_bound_covers_what_is_built():
+    # each block's pair, and each product of the blocks so far with the
+    # refinement it is built on, has at most the summed bounds of its blocks
+    rng = Random(17)
+    words = [
+        Word((rng.randint(0, 40), rng.choice((-1, 1)) * rng.randint(1, 20)) for _ in range(rng.randint(0, 12)))
+        for _ in range(500)
+    ]
+    words += [to_word(random_element(rng, 80)) for _ in range(100)]
+    for w in words:
+        acc, bound = None, 0
+        for block in _blocks(w.factors):
+            pair = _block_pair(*block)
+            assert pair.leaf_count <= _block_leaf_bound(block), (w, block)
+            bound += _block_leaf_bound(block)
+            if acc is None:
+                acc = reduce_pair(pair)
+            else:
+                assert common_refinement(acc.target, pair.source).leaf_count <= bound, w
+                acc = multiply(acc, pair)
+        assert acc == from_word(w) and acc.leaf_count <= bound
+
+
 def test_normal_forms_need_no_multiply(monkeypatch):
     rng = Random(16)
     elements = [random_element(rng, 12) for _ in range(190)]
-    # A random tree pair of 1,000 leaves has hundreds of factors at high
-    # indices, past the word size bound; left combs grafted at the leaves of
-    # small random trees give a few factors with indices and exponents in
-    # the thousands.  The two trees can share carets, so keep the pairs that
+    # Left combs grafted at the leaves of small random trees give a few
+    # factors with indices and exponents in the thousands.  The two trees can share carets, so keep the pairs that
     # stay large after reduction.
     large = []
     while len(large) < 10:

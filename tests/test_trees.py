@@ -11,13 +11,16 @@ from thomplink.trees import (
     graft_all,
     is_right_comb,
     leaf_exponents,
-    node_table,
+    node_spans,
     random_tree,
     right_comb,
     split_along,
     tree_from_bits,
     tree_from_exponents,
+    tree_darts,
 )
+from thomplink.svg import _span_ends
+from util import reference_table
 
 
 def test_bits_round_trip():
@@ -105,36 +108,35 @@ def test_random_tree_draw_order():
     ]
 
 
-def reference_table(bits: str):
-    """Recursive reference for ``node_table``: per node in preorder
-    (first, gap, end, parent, side), and the (node, side) holding each leaf."""
-    nodes, holders = [], []
-
-    def walk(i, leaf, parent, side):  # returns (next bit, next leaf)
-        if bits[i] == "0":
-            holders.append((parent, side))
-            return i + 1, leaf + 1
-        me = len(nodes)
-        nodes.append(None)
-        j, gap = walk(i + 1, leaf, me, "L")
-        k, end = walk(j, gap, me, "R")
-        nodes[me] = (leaf, gap, end, parent, side)
-        return k, end
-
-    walk(0, 0, -1, None)
-    return nodes, holders
+# (first, stride, left, right): the link's source and target crossings, the
+# strand diagram's splits and merges, and the node spans' layout
+LAYOUTS = [(0, 4, 1, 3), (8, 4, 3, 1), (6, 3, 1, 2), (9, 3, 0, 1), (0, 2, 0, 1)]
 
 
-def table_tuples(t):
-    nodes, holders = node_table(t)
-    return [(nd.first, nd.gap, nd.end, nd.parent, nd.side) for nd in nodes], holders
+def reference_darts(bits: str, first: int, stride: int, left: int, right: int):
+    """The walk's three lists, read off :func:`reference_table`."""
+    nodes, holders = reference_table(bits)
+
+    def dart(node, side):
+        return first + stride * node + (left if side == "L" else right)
+
+    by_gap = sorted(range(len(nodes)), key=lambda i: nodes[i][1])
+    return (
+        [dart(parent, side) for *_, parent, side in nodes[1:]],
+        [dart(node, side) for node, side in holders if side],
+        [dart(i, "R") for i in by_gap],
+    )
 
 
-def test_node_table_matches_recursive_reference():
+def test_tree_walk_matches_recursive_reference():
     rng = Random(4)
     for _ in range(300):
         t = random_tree(rng.randint(1, 40), rng)
-        assert table_tuples(t) == reference_table(t.bits)
+        for layout in LAYOUTS:
+            assert tree_darts(t, *layout) == reference_darts(t.bits, *layout)
+        first, gap = node_spans(t)
+        spans = [(a, b, c) for a, b, c, *_ in reference_table(t.bits)[0]]
+        assert list(zip(first, gap, _span_ends(first, gap))) == spans
 
 
 N = 10_000
@@ -166,8 +168,21 @@ def test_deep_comb_operations():
     assert len(split_along(m, LEFT_COMB)) == len(split_along(m, RIGHT_COMB)) == N
 
 
-def test_deep_comb_node_tables():
-    left = [(0, N - 1 - i, N - i, i - 1, "L" if i else None) for i in range(N - 1)]
-    right = [(i, i + 1, N, i - 1, "R" if i else None) for i in range(N - 1)]
-    assert table_tuples(LEFT_COMB) == (left, [(N - 2, "L")] + [(N - 1 - k, "R") for k in range(1, N)])
-    assert table_tuples(RIGHT_COMB) == (right, [(k, "L") for k in range(N - 1)] + [(N - 2, "R")])
+def test_deep_comb_spans():
+    # the walk keeps its own stack, so depth costs no recursion
+    left = [(0, N - 1 - i, N - i) for i in range(N - 1)]
+    right = [(i, i + 1, N) for i in range(N - 1)]
+    for comb, spans in ((LEFT_COMB, left), (RIGHT_COMB, right)):
+        first, gap = node_spans(comb)
+        assert list(zip(first, gap, _span_ends(first, gap))) == spans
+    # node i holds its children at darts 2i and 2i + 1
+    assert tree_darts(LEFT_COMB, 0, 2, 0, 1) == (
+        [2 * i for i in range(N - 2)],
+        [2 * (N - 2)] + [2 * (N - 1 - k) + 1 for k in range(1, N)],
+        [2 * (N - 1 - g) + 1 for g in range(1, N)],
+    )
+    assert tree_darts(RIGHT_COMB, 0, 2, 0, 1) == (
+        [2 * i + 1 for i in range(N - 2)],
+        [2 * k for k in range(N - 1)] + [2 * (N - 2) + 1],
+        [2 * i + 1 for i in range(N - 1)],
+    )

@@ -23,6 +23,67 @@ from thomplink.strand import _Cut
 from thomplink.trees import caret, graft, random_tree, tree_from_bits
 
 
+def reference_table(bits: str):
+    """Recursive reference for a tree's node spans: per node in preorder
+    (first, gap, end, parent, side), and the (node, side) holding each leaf;
+    a lone leaf is held by (-1, None)."""
+    nodes, holders = [], []
+
+    def walk(i, leaf, parent, side):  # returns (next bit, next leaf)
+        if bits[i] == "0":
+            holders.append((parent, side))
+            return i + 1, leaf + 1
+        me = len(nodes)
+        nodes.append(None)
+        j, gap = walk(i + 1, leaf, me, "L")
+        k, end = walk(j, gap, me, "R")
+        nodes[me] = (leaf, gap, end, parent, side)
+        return k, end
+
+    walk(0, 0, -1, None)
+    return nodes, holders
+
+
+# Crossing slot layout of the direct link (counterclockwise, understrand at
+# slots 0 and 2):
+# source-tree node: (parent edge, left child, gap edge, right child)
+# target-tree node: (parent edge, right child, gap edge, left child)
+_SRC_SLOT = {"parent": 0, "L": 1, "gap": 2, "R": 3}
+_TGT_SLOT = {"parent": 0, "R": 1, "gap": 2, "L": 3}
+
+
+def reference_direct_link(p: TreePair) -> LinkDiagram:
+    """The direct link built from :func:`reference_table` records, arc by
+    arc: the leaf strands, each tree's internal edges, one edge through
+    each gap and the closure edge joining the two roots."""
+    n = p.leaf_count
+    if n == 1:
+        return LinkDiagram((), free_loops=1)
+    up_nodes, up_leaf = reference_table(p.source.bits)
+    lo_nodes, lo_leaf = reference_table(p.target.bits)
+    shift = len(up_nodes)
+    crossings: list[list] = [[None] * 4 for _ in range(shift + len(lo_nodes))]
+    arc = 0
+    for (ui, uside), (li, lside) in zip(up_leaf, lo_leaf):
+        crossings[ui][_SRC_SLOT[uside]] = arc
+        crossings[shift + li][_TGT_SLOT[lside]] = arc
+        arc += 1
+    for nodes, base, slots in ((up_nodes, 0, _SRC_SLOT), (lo_nodes, shift, _TGT_SLOT)):
+        for i, (_, _, _, parent, side) in enumerate(nodes[1:], base + 1):
+            crossings[i][slots["parent"]] = arc
+            crossings[base + parent][slots[side]] = arc
+            arc += 1
+    up_gap = {nd[1]: i for i, nd in enumerate(up_nodes)}
+    lo_gap = {nd[1]: shift + i for i, nd in enumerate(lo_nodes)}
+    for gap in range(1, n):
+        crossings[up_gap[gap]][_SRC_SLOT["gap"]] = arc
+        crossings[lo_gap[gap]][_TGT_SLOT["gap"]] = arc
+        arc += 1
+    crossings[0][_SRC_SLOT["parent"]] = arc
+    crossings[shift][_TGT_SLOT["parent"]] = arc
+    return LinkDiagram(crossings, free_loops=0)
+
+
 def graft_element(p: TreePair, leaf: int, g: TreePair) -> TreePair:
     """Insert the diagram of ``g`` at a shared leaf of ``p``'s diagram."""
     return TreePair(graft(p.source, leaf, g.source), graft(p.target, leaf, g.target))
