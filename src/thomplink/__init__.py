@@ -20,7 +20,6 @@ from .links import (
     component_count,
     direct_link,
     disjoint_union,
-    link_of,
     medial_link,
     mirror_diagram,
     simplify,
@@ -52,7 +51,7 @@ from .strand import (
     strand_from_pair,
 )
 from .strand import component_count as annular_component_count
-from .tait import TaitEdge, TaitGraph, tait_graph
+from .tait import TaitGraph, tait_graph
 from .trees import BinaryTree, LEAF, right_comb, tree_from_bits
 
 __version__ = "0.1.0"

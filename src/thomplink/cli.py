@@ -25,7 +25,7 @@ from .bracket import DEFAULT_STATE_LIMIT, StateLimitError, equivalent_up_to_unit
 from .conway import ConwayCode, continued_fraction, two_bridge_diagram
 from .families import conjugate, element_a, g_element, h_element, h_sequence
 from .laurent import DELTA
-from .links import LinkDiagram, component_count, link_of, simplify
+from .links import LinkDiagram, component_count, direct_link, medial_link, simplify
 from .pairs import (
     TreePair,
     Word,
@@ -39,6 +39,8 @@ from .svg import direct_link_svg, tait_graph_svg, tree_pair_svg
 from .tait import tait_graph
 
 SCHEMA = 1
+# the link builders that ``link`` and ``bracket`` choose from with --route
+_ROUTES = {"tait": lambda p: medial_link(tait_graph(p)), "direct": direct_link}
 
 
 class DomainError(ValueError):
@@ -118,7 +120,7 @@ def _cmd_link(args) -> int:
             raise DomainError("svg output renders the unsimplified construction")
         print(tait_graph_svg(tait_graph(p)) if args.route == "tait" else direct_link_svg(p))
         return 0
-    d = link_of(p, args.route)
+    d = _ROUTES[args.route](p)
     removed = 0
     if args.simplify:
         rep = simplify(d)
@@ -141,7 +143,7 @@ def _cmd_link(args) -> int:
 
 def _cmd_bracket(args) -> int:
     p = _parse_element(args.element)
-    d = link_of(p, args.route)
+    d = _ROUTES[args.route](p)
     if args.simplify:
         d = simplify(d).diagram
     value = kauffman_bracket(d, args.max_states)
@@ -169,7 +171,7 @@ def _cmd_experiment_thm1(args) -> int:
     rows = []
     brackets = []
     for i, h in enumerate(seq.elements, 1):
-        rep = simplify(link_of(h, "direct"))
+        rep = simplify(direct_link(h))
         br = kauffman_bracket(rep.diagram, args.max_states)
         r = reduced_annular_of(h)
         rows.append(
@@ -216,7 +218,7 @@ def _cmd_experiment_thm2(args) -> int:
     for n in range(1, args.n + 1):
         base = g_element(n) if gen_index == 0 else h_element(n)
         c = conjugate(base, x)
-        rep = simplify(link_of(c, "direct"))
+        rep = simplify(direct_link(c))
         br = kauffman_bracket(rep.diagram, args.max_states)
         code = ConwayCode([1] * (2 * n))
         oracle = kauffman_bracket(two_bridge_diagram(code))
@@ -307,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("link", help="link diagram of an element")
     pl.add_argument("element")
-    pl.add_argument("--route", choices=("tait", "direct"), default="direct")
+    pl.add_argument("--route", choices=tuple(_ROUTES), default="direct")
     pl.add_argument("--simplify", action="store_true")
     _add_format(pl, ("text", "json", "pd", "svg"))
     pl.set_defaults(func=_cmd_link)
 
     pb = sub.add_parser("bracket", help="Kauffman bracket of an element's link")
     pb.add_argument("element")
-    pb.add_argument("--route", choices=("tait", "direct"), default="direct")
+    pb.add_argument("--route", choices=tuple(_ROUTES), default="direct")
     pb.add_argument("--no-simplify", dest="simplify", action="store_false")
     _add_state_bound(pb)
     _add_format(pb)

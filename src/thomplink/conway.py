@@ -19,9 +19,13 @@ from __future__ import annotations
 from math import gcd
 
 from .links import LinkDiagram
-from .pairs import MAX_WORD_LEAVES
 
-__all__ = ["ConwayCode", "continued_fraction", "two_bridge_diagram"]
+__all__ = ["MAX_CODE_CROSSINGS", "ConwayCode", "continued_fraction", "two_bridge_diagram"]
+
+# The most crossings a parsed code may have.  The bracket of one twist region
+# of c crossings costs about c^2 additions on integers of about 0.7c bits: at
+# this bound it takes about a second.
+MAX_CODE_CROSSINGS = 1_000
 
 
 class ConwayCode:
@@ -43,12 +47,10 @@ class ConwayCode:
         if not all(part.isascii() and part.isdigit() for part in parts):
             raise ValueError(f"twist counts are written with the digits 0-9: {text[:40]!r}")
         code = cls(map(int, parts))
-        # an n-leaf element's direct link has 2(n - 1) crossings, so codes
-        # are bounded as words are
-        if code.total_crossings() > 2 * MAX_WORD_LEAVES:
+        if code.total_crossings() > MAX_CODE_CROSSINGS:
             raise ValueError(
                 f"the code has {code.total_crossings()} crossings, more than the bound "
-                f"of {2 * MAX_WORD_LEAVES}"
+                f"of {MAX_CODE_CROSSINGS}"
             )
         return code
 

@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from itertools import compress
 
 from .pairs import TreePair
-from .tait import UPPER, TaitGraph, tait_graph
+from .tait import TaitGraph
 from .trees import tree_darts
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "component_count",
     "mirror_diagram",
     "disjoint_union",
-    "link_of",
 ]
 
 
@@ -128,65 +127,40 @@ def component_count(d: LinkDiagram) -> int:
 # Medial route: one crossing per signed Tait arc.
 # ---------------------------------------------------------------------------
 
-_CW, _CCW = 0, 1
-_L, _R = 0, 1
-
 
 def medial_link(t: TaitGraph) -> LinkDiagram:
-    """Checkerboard/medial diagram of a signed Tait graph."""
-    t.validate()
-    edges = t.edges
-    # Rotation system: ends around each vertex in counterclockwise order,
-    # starting just above the +x direction.  Upper arcs leave vertically,
-    # nesting resolves ties: at a left endpoint inner arcs sit clockwise of
-    # outer ones, at a right endpoint the opposite; the lower half mirrors.
-    # ul/ur: upper arcs leaving v rightward/leftward, keyed by their far
-    # end; dr/dl: the same below, in reverse.  One pass buckets them.
-    ul = [[] for _ in range(t.vertex_count)]
-    ur = [[] for _ in range(t.vertex_count)]
-    dr = [[] for _ in range(t.vertex_count)]
-    dl = [[] for _ in range(t.vertex_count)]
-    for i, e in enumerate(edges):
-        at_left, at_right = (ul, ur) if e.half == UPPER else (dl, dr)
-        at_left[e.left].append((e.right, i))
-        at_right[e.right].append((e.left, i))
-    rotations: list[list[tuple[int, int]]] = []
-    for v in range(t.vertex_count):
-        rotations.append(
-            [(i, _L) for _, i in sorted(ul[v])]
-            + [(i, _R) for _, i in sorted(ur[v])]
-            + [(i, _R) for _, i in sorted(dr[v], reverse=True)]
-            + [(i, _L) for _, i in sorted(dl[v], reverse=True)]
-        )
-
-    # Corner strands: between cyclically consecutive ends h, h' the medial
-    # strand joins the ccw port of h to the cw port of h'.
-    arc_of: dict[tuple[int, int, int], int] = {}
-    free_loops = 0
-    next_arc = 0
-    for v, rot in enumerate(rotations):
+    """Checkerboard/medial diagram of a signed Tait graph: crossing c is
+    upper arc c, or lower arc c - len(t.upper)."""
+    k = len(t.upper)
+    # Each end of an arc holds two neighbouring slots of its crossing, its
+    # counterclockwise port and then its clockwise one: slots 0, 1 and 2, 3
+    # at the left and right ends of an upper arc, 3, 0 and 1, 2 below.  An
+    # end is named by its ccw port's dart.  Around each vertex the ends run
+    # counterclockwise from just above +x: upper arcs leaving rightward, then
+    # leftward, lower arcs leaving leftward, then rightward.  Nesting orders
+    # each group (at a left end inner arcs sit clockwise of outer ones, at a
+    # right end the opposite, mirrored below): by far end, then by arc.
+    groups = (
+        sorted((b, 4 * c, a) for c, (a, b) in enumerate(t.upper)),
+        sorted((a, 4 * c + 2, b) for c, (a, b) in enumerate(t.upper)),
+        sorted(((a, 4 * c + 1, b) for c, (a, b) in enumerate(t.lower, k)), reverse=True),
+        sorted(((b, 4 * c + 3, a) for c, (a, b) in enumerate(t.lower, k)), reverse=True),
+    )
+    rotations: list[list[int]] = [[] for _ in range(t.vertex_count)]
+    for group in groups:
+        for _, d, v in group:
+            rotations[v].append(d)
+    # Corner strands: between cyclically consecutive ends d, e the medial
+    # strand joins the ccw port of d to the cw port of e, the slot after e.
+    labels = [0] * (4 * (k + len(t.lower)))
+    arc = free_loops = 0
+    for rot in rotations:
         if not rot:
             free_loops += 1
-            continue
-        k = len(rot)
-        for q in range(k):
-            ei, end = rot[q]
-            ej, end2 = rot[(q + 1) % k]
-            arc_of[(ei, end, _CCW)] = next_arc
-            arc_of[(ej, end2, _CW)] = next_arc
-            next_arc += 1
-
-    crossings = []
-    for i, e in enumerate(edges):
-        lcw = arc_of[(i, _L, _CW)]
-        lccw = arc_of[(i, _L, _CCW)]
-        rcw = arc_of[(i, _R, _CW)]
-        rccw = arc_of[(i, _R, _CCW)]
-        if e.half == UPPER:
-            crossings.append((lccw, lcw, rccw, rcw))
-        else:
-            crossings.append((lcw, rccw, rcw, lccw))
-    return LinkDiagram(crossings, free_loops)
+        for d, e in zip(rot, rot[1:] + rot[:1]):
+            labels[d] = labels[e + 1 if e & 3 < 3 else e - 3] = arc
+            arc += 1
+    return LinkDiagram(zip(*[iter(labels)] * 4), free_loops)  # 4 labels a crossing
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +277,3 @@ def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     shift = 2 * d1r.crossing_count  # arcs of d1r, numbered from 0
     moved = [tuple(a + shift for a in c) for c in d2.relabeled().crossings]
     return LinkDiagram(list(d1r.crossings) + moved, d1.free_loops + d2.free_loops)
-
-
-def link_of(p: TreePair, route: str = "direct") -> LinkDiagram:
-    """Convenience dispatcher used by the CLI and experiments."""
-    if route == "direct":
-        return direct_link(p)
-    if route == "tait":
-        return medial_link(tait_graph(p))
-    raise ValueError(f"unknown route {route!r}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .pairs import TreePair
-from .tait import UPPER, TaitGraph
+from .tait import TaitGraph
 from .trees import BinaryTree, node_spans
 
 __all__ = ["tree_pair_svg", "tait_graph_svg", "direct_link_svg"]
@@ -80,21 +80,21 @@ def tait_graph_svg(t: TaitGraph) -> str:
     for v in range(t.vertex_count):
         body.append(f'<circle cx="{v * _SCALE}" cy="0" r="4" fill="black"/>')
     max_r = _SCALE
-    for e in t.edges:
-        rx = (e.right - e.left) * _SCALE / 2
-        cx = (e.left + e.right) * _SCALE / 2
-        max_r = max(max_r, rx)
-        sweep = 1 if e.half == UPPER else 0
-        color = "red" if e.half == UPPER else "blue"
-        body.append(
-            f'<path d="M {e.left * _SCALE} 0 A {rx:.1f} {rx:.1f} 0 0 {sweep} '
-            f'{e.right * _SCALE} 0" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-        label_y = -rx - 4 if e.half == UPPER else rx + 12
-        body.append(
-            f'<text x="{cx:.1f}" y="{label_y:.1f}" font-size="12" text-anchor="middle">'
-            f'{"+" if e.sign > 0 else "-"}</text>'
-        )
+    # positive arcs red above the line, negative ones blue below it
+    for arcs, sweep, color, sign in ((t.upper, 1, "red", "+"), (t.lower, 0, "blue", "-")):
+        for a, b in arcs:
+            rx = (b - a) * _SCALE / 2
+            cx = (a + b) * _SCALE / 2
+            max_r = max(max_r, rx)
+            body.append(
+                f'<path d="M {a * _SCALE} 0 A {rx:.1f} {rx:.1f} 0 0 {sweep} '
+                f'{b * _SCALE} 0" fill="none" stroke="{color}" stroke-width="2"/>'
+            )
+            label_y = -rx - 4 if sweep else rx + 12
+            body.append(
+                f'<text x="{cx:.1f}" y="{label_y:.1f}" font-size="12" text-anchor="middle">'
+                f"{sign}</text>"
+            )
     return _wrap(body, 0, -max_r, (t.vertex_count - 1) * _SCALE, max_r)
 
 

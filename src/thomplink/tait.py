@@ -13,101 +13,54 @@ properly overlapping.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .pairs import TreePair
-from .trees import BinaryTree, node_spans
+from .trees import node_spans
 
-__all__ = ["TaitEdge", "TaitGraph", "tait_graph"]
-
-UPPER = "U"
-LOWER = "L"
-
-
-@dataclass(frozen=True)
-class TaitEdge:
-    left: int
-    right: int
-    half: str  # UPPER or LOWER
-    sign: int  # +1 for upper, -1 for lower
+__all__ = ["TaitGraph", "tait_graph"]
 
 
 class TaitGraph:
-    """A validated signed chord diagram: line vertices plus nested arcs."""
+    """A validated signed chord diagram: ``vertex_count`` line vertices, and
+    the ``(left, right)`` vertex pairs of the positive arcs above the line
+    (``upper``) and of the negative arcs below it (``lower``)."""
 
-    __slots__ = ("vertex_count", "edges")
+    __slots__ = ("vertex_count", "upper", "lower")
 
-    def __init__(self, vertex_count: int, edges: tuple[TaitEdge, ...]):
+    def __init__(self, vertex_count: int, upper, lower):
         self.vertex_count = vertex_count
-        self.edges = tuple(edges)
-        self.validate()
-
-    def validate(self) -> None:
-        if self.vertex_count < 1:
+        self.upper = tuple(upper)
+        self.lower = tuple(lower)
+        if vertex_count < 1:
             raise ValueError("a Tait graph has at least one vertex")
-        for e in self.edges:
-            if not (0 <= e.left < e.right < self.vertex_count):
-                raise ValueError(f"edge endpoints out of order: {e}")
-            if e.half not in (UPPER, LOWER):
-                raise ValueError(f"unknown half plane {e.half!r}")
-            if e.sign != (1 if e.half == UPPER else -1):
-                raise ValueError(f"sign does not match half plane: {e}")
-        for half in (UPPER, LOWER):
+        for half, arcs in (("upper", self.upper), ("lower", self.lower)):
             # Sorted by left end, outer arcs first, the arcs that contain the
             # current point form a stack of nested spans; an arc that starts
             # inside the top span and ends beyond it overlaps it properly.
-            spans = sorted((e.left, -e.right) for e in self.edges if e.half == half)
             stack: list[tuple[int, int]] = []
-            for c, neg_d in spans:
+            for c, neg_d in sorted((c, -d) for c, d in arcs):
                 d = -neg_d
+                if not 0 <= c < d < vertex_count:
+                    raise ValueError(
+                        f"arc ({c},{d}) in half {half} does not run left to right "
+                        f"on {vertex_count} vertices"
+                    )
                 while stack and stack[-1][1] <= c:
                     stack.pop()
                 if stack and stack[-1][1] < d:
                     a, b = stack[-1]
-                    raise ValueError(
-                        f"overlapping arcs ({a},{b}) and ({c},{d}) in half {half}"
-                    )
+                    raise ValueError(f"overlapping arcs ({a},{b}) and ({c},{d}) in half {half}")
                 stack.append((c, d))
 
-    def upper_edges(self) -> list[TaitEdge]:
-        return [e for e in self.edges if e.half == UPPER]
-
-    def lower_edges(self) -> list[TaitEdge]:
-        return [e for e in self.edges if e.half == LOWER]
-
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.vertex_count,
-                "edges": [
-                    [e.left, e.right, e.half, "+" if e.sign > 0 else "-"]
-                    for e in self.edges
-                ],
-            }
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TaitGraph)
-            and self.vertex_count == other.vertex_count
-            and sorted(map(_edge_key, self.edges)) == sorted(map(_edge_key, other.edges))
-        )
+        upper = [[a, b, "U", "+"] for a, b in self.upper]
+        lower = [[a, b, "L", "-"] for a, b in self.lower]
+        return json.dumps({"n": self.vertex_count, "edges": upper + lower})
 
     def __repr__(self) -> str:
-        return f"TaitGraph(n={self.vertex_count}, edges={len(self.edges)})"
-
-
-def _edge_key(e: TaitEdge):
-    return (e.half, e.left, e.right)
-
-
-def _tree_arcs(tree: BinaryTree, half: str) -> list[TaitEdge]:
-    sign = 1 if half == UPPER else -1
-    first, gap = node_spans(tree)
-    return [TaitEdge(a, b, half, sign) for a, b in zip(first, gap)]
+        return f"TaitGraph(n={self.vertex_count}, upper={len(self.upper)}, lower={len(self.lower)})"
 
 
 def tait_graph(p: TreePair) -> TaitGraph:
     """The signed graph of a tree pair (the pair need not be reduced)."""
-    edges = _tree_arcs(p.source, UPPER) + _tree_arcs(p.target, LOWER)
-    return TaitGraph(p.leaf_count, tuple(edges))
+    return TaitGraph(p.leaf_count, zip(*node_spans(p.source)), zip(*node_spans(p.target)))

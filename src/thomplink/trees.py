@@ -52,10 +52,6 @@ class BinaryTree:
             self.bits = "1" + left.bits + right.bits
             self.leaf_count = left.leaf_count + right.leaf_count
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf_count == 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BinaryTree) and self.bits == other.bits
 

@@ -80,10 +80,10 @@ def test_hopf_value_against_independent_enumeration():
 def test_single_signed_arc_is_a_kink():
     # pins the crossing-sign realization: one positive arc gives -A^3
     from thomplink import medial_link
-    from thomplink.tait import TaitEdge, TaitGraph
+    from thomplink.tait import TaitGraph
 
-    plus = medial_link(TaitGraph(2, (TaitEdge(0, 1, "U", 1),)))
-    minus = medial_link(TaitGraph(2, (TaitEdge(0, 1, "L", -1),)))
+    plus = medial_link(TaitGraph(2, [(0, 1)], []))
+    minus = medial_link(TaitGraph(2, [], [(0, 1)]))
     assert kauffman_bracket(plus) == LaurentPolynomial({3: -1})
     assert kauffman_bracket(minus) == LaurentPolynomial({-3: -1})
 

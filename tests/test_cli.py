@@ -9,7 +9,8 @@ import pytest
 
 import thomplink
 from thomplink.cli import main
-from thomplink.pairs import MAX_WORD_LEAVES, TreePair, reduce_pair
+from thomplink.conway import MAX_CODE_CROSSINGS
+from thomplink.pairs import TreePair, reduce_pair
 from thomplink.trees import random_tree
 
 
@@ -123,7 +124,7 @@ def test_domain_errors_exit_1(capsys):
         (["experiment", "thm2", "--gen", "x0", "--n", "-1"], 2),
         (["bracket", "x0", "--max-states", "-1"], 2),
         (["oracle", "two-bridge", "1,1", "--max-crossings", "30"], 2),  # no such option
-        (["oracle", "two-bridge", f"1,{2 * MAX_WORD_LEAVES}"], 1),  # past the code size bound
+        (["oracle", "two-bridge", f"1,{MAX_CODE_CROSSINGS}"], 1),  # past the code size bound
         (["element", "parse", "x\u0663"], 1),  # an Arabic-Indic digit
         (["experiment", "thm1", "--n", "\u0663"], 2),
         (["oracle", "two-bridge", "\u0663,1"], 1),

@@ -9,7 +9,7 @@ from thomplink import (
     kauffman_bracket,
     two_bridge_diagram,
 )
-from thomplink.pairs import MAX_WORD_LEAVES
+from thomplink.conway import MAX_CODE_CROSSINGS
 
 
 def fib(n: int) -> int:
@@ -51,9 +51,8 @@ def test_crossing_number_and_bound():
     for entries in ([1, 1], [2, 3], [1, 1, 1, 1]):
         code = ConwayCode(entries)
         assert two_bridge_diagram(code).crossing_count == sum(entries)
-    # a code is bounded as words are: an n-leaf element's link has 2(n - 1)
-    # crossings
-    bound = 2 * MAX_WORD_LEAVES
+    # a parsed code is bounded by the crossings whose bracket stays fast
+    bound = MAX_CODE_CROSSINGS
     assert ConwayCode.parse(f"{bound - 1},1").total_crossings() == bound
     with pytest.raises(ValueError):
         ConwayCode.parse(f"{bound - 1},2")

@@ -26,7 +26,16 @@ from thomplink import (
     simplify,
     tait_graph,
 )
-from util import graft_element, reference_direct_link, unreduced_pair, with_kink, X0, X1
+from thomplink.tait import TaitGraph
+from util import (
+    X0,
+    X1,
+    graft_element,
+    reference_direct_link,
+    reference_medial_link,
+    unreduced_pair,
+    with_kink,
+)
 
 
 def test_identity_diagrams():
@@ -67,9 +76,7 @@ def test_simplify_monotone_and_x0_unknot():
 
 def test_simplify_r1_twist():
     # single positive Tait arc: a one-crossing kink
-    from thomplink.tait import TaitEdge, TaitGraph
-
-    d = medial_link(TaitGraph(2, (TaitEdge(0, 1, "U", 1),)))
+    d = medial_link(TaitGraph(2, [(0, 1)], []))
     rep = simplify(d)
     assert rep.diagram.crossing_count == 0
     assert rep.diagram.free_loops == 1
@@ -110,6 +117,42 @@ def test_direct_link_matches_reference_builder():
         leaves = rng.randint(1, 40)
         p = unreduced_pair(rng, leaves) if k % 2 else random_element(rng, leaves)
         assert direct_link(p).crossings == reference_direct_link(p).crossings, p
+
+
+def random_arcs(rng: Random, n: int) -> list[tuple[int, int]]:
+    """Nested or disjoint arcs on vertices 0..n-1 in random order, some of
+    them repeated as parallel arcs; a vertex no arc reaches is isolated."""
+    arcs: list[tuple[int, int]] = []
+    while n > 1 and rng.random() < 0.9:
+        if arcs and rng.random() < 0.2:
+            arcs.append(rng.choice(arcs))
+            continue
+        a, b = sorted(rng.sample(range(n), 2))
+        if not any(c < a < d < b or a < c < b < d for c, d in arcs):
+            arcs.append((a, b))
+    return arcs
+
+
+def test_medial_link_matches_reference_builder():
+    # the dart-based builder writes the very PD code the record-based one does
+    rng = Random(36)
+    graphs = []
+    for k in range(600):
+        leaves = rng.randint(1, 40)
+        p = unreduced_pair(rng, leaves) if k % 2 else random_element(rng, leaves)
+        graphs.append(tait_graph(p))
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        graphs.append(TaitGraph(n, random_arcs(rng, n), random_arcs(rng, n)))
+    loops = parallel = 0
+    for t in graphs:
+        edges = [("U", a, b) for a, b in t.upper] + [("L", a, b) for a, b in t.lower]
+        ref = reference_medial_link(t.vertex_count, edges)
+        d = medial_link(t)
+        assert (d.crossings, d.free_loops) == (ref.crossings, ref.free_loops), t.to_json()
+        loops += t.vertex_count > 1 and d.free_loops > 0
+        parallel += len(set(t.upper)) < len(t.upper)
+    assert loops and parallel  # the corpus has isolated vertices and parallel arcs
 
 
 def test_expansion_adds_only_trivial_components():

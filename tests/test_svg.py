@@ -1,7 +1,7 @@
 import hashlib
 
-from thomplink import from_word
-from thomplink.svg import direct_link_svg, tree_pair_svg
+from thomplink import from_word, tait_graph
+from thomplink.svg import direct_link_svg, tait_graph_svg, tree_pair_svg
 
 X0_CLOSURE = [
     '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-88 -200 248 400" width="248" height="400">',
@@ -28,8 +28,9 @@ def test_direct_link_svg_of_x0():
 
 def test_svg_output_is_pinned():
     p = from_word("x0 x1 x0^-2 x2 x1^-1 x3^2")
-    digests = [hashlib.sha256(f(p).encode()).hexdigest() for f in (tree_pair_svg, direct_link_svg)]
-    assert digests == [
+    svgs = (tree_pair_svg(p), direct_link_svg(p), tait_graph_svg(tait_graph(p)))
+    assert [hashlib.sha256(s.encode()).hexdigest() for s in svgs] == [
         "81a8bcee29336375522e66a3f4c4a883dbf447d5cdaf738c605250086621e1f5",
         "7f9af67a5ac8968ffc40bb1935acc39f117f9ebf0bd82c5b316049f39e8d587b",
+        "e23111ca4a97f60abda0a11c40b2422d01262612ebe5fd39b9e735b0fd094914",
     ]

@@ -3,24 +3,20 @@ from random import Random
 
 import pytest
 
-from thomplink import identity, make_generator, random_element, tait_graph
-from thomplink.tait import LOWER, UPPER, TaitEdge, TaitGraph
+from thomplink import from_word, identity, make_generator, random_element, tait_graph
+from thomplink.tait import TaitGraph
 
 
 def test_identity_graph():
     t = tait_graph(identity())
     assert t.vertex_count == 1
-    assert t.edges == ()
+    assert t.upper == t.lower == ()
 
 
 def test_x0_edges():
     t = tait_graph(make_generator(0))
-    upper = sorted((e.left, e.right) for e in t.upper_edges())
-    lower = sorted((e.left, e.right) for e in t.lower_edges())
-    assert upper == [(0, 1), (0, 2)]
-    assert lower == [(0, 1), (1, 2)]
-    assert all(e.sign == 1 for e in t.upper_edges())
-    assert all(e.sign == -1 for e in t.lower_edges())
+    assert sorted(t.upper) == [(0, 1), (0, 2)]
+    assert sorted(t.lower) == [(0, 1), (1, 2)]
 
 
 def test_edge_counts_are_leaves_minus_one():
@@ -28,8 +24,8 @@ def test_edge_counts_are_leaves_minus_one():
     for _ in range(50):
         p = random_element(rng)
         t = tait_graph(p)
-        assert len(t.upper_edges()) == p.leaf_count - 1
-        assert len(t.lower_edges()) == p.leaf_count - 1
+        assert len(t.upper) == p.leaf_count - 1
+        assert len(t.lower) == p.leaf_count - 1
         assert t.vertex_count == p.leaf_count
 
 
@@ -37,16 +33,19 @@ def test_nesting_invariant_fuzz():
     rng = Random(21)
     for _ in range(200):
         p = random_element(rng, 12)
-        tait_graph(p).validate()  # raises on properly overlapping arcs
+        t = tait_graph(p)  # the constructor raises on properly overlapping arcs
+        TaitGraph(t.vertex_count, t.lower, t.upper)  # as does the swapped graph
 
 
 def test_validation_rejects_overlap():
     with pytest.raises(ValueError):
-        TaitGraph(4, (TaitEdge(0, 2, UPPER, 1), TaitEdge(1, 3, UPPER, 1)))
+        TaitGraph(4, [(0, 2), (1, 3)], [])
     with pytest.raises(ValueError):
-        TaitGraph(2, (TaitEdge(0, 1, UPPER, -1),))
+        TaitGraph(4, [], [(0, 3), (1, 2), (2, 4)])  # past the last vertex
     with pytest.raises(ValueError):
-        TaitGraph(2, (TaitEdge(1, 0, LOWER, -1),))
+        TaitGraph(2, [], [(1, 0)])
+    with pytest.raises(ValueError):
+        TaitGraph(0, [], [])
 
 
 def test_json_export():
@@ -59,3 +58,15 @@ def test_json_export():
         [0, 2, "U", "+"],
         [1, 2, "L", "-"],
     ]
+
+
+def test_json_output_is_pinned():
+    # source arcs in preorder, then target arcs
+    t = tait_graph(from_word("x0 x1 x0^-2 x2 x1^-1 x3^2"))
+    assert t.to_json() == (
+        '{"n": 10, "edges": [[0, 3, "U", "+"], [0, 1, "U", "+"], [1, 2, "U", "+"], '
+        '[3, 4, "U", "+"], [4, 6, "U", "+"], [4, 5, "U", "+"], [6, 9, "U", "+"], '
+        '[6, 8, "U", "+"], [6, 7, "U", "+"], [0, 3, "L", "-"], [0, 2, "L", "-"], '
+        '[0, 1, "L", "-"], [3, 5, "L", "-"], [3, 4, "L", "-"], [5, 6, "L", "-"], '
+        '[6, 7, "L", "-"], [7, 8, "L", "-"], [8, 9, "L", "-"]]}'
+    )

@@ -84,6 +84,56 @@ def reference_direct_link(p: TreePair) -> LinkDiagram:
     return LinkDiagram(crossings, free_loops=0)
 
 
+_CW, _CCW = 0, 1
+_L, _R = 0, 1
+
+
+def reference_medial_link(vertex_count: int, edges) -> LinkDiagram:
+    """The medial link of a signed chord diagram built from edge records and
+    a dict of corner strands: ``edges`` are ``(half, left, right)`` with half
+    "U" (above the line, positive) or "L" (below, negative), and crossing i
+    is edge i."""
+    # Rotation system: ends around each vertex in counterclockwise order,
+    # starting just above the +x direction.  Upper arcs leave vertically,
+    # nesting resolves ties: at a left endpoint inner arcs sit clockwise of
+    # outer ones, at a right endpoint the opposite; the lower half mirrors.
+    # ul/ur: upper arcs leaving v rightward/leftward, keyed by their far
+    # end; dr/dl: the same below, in reverse.
+    ul = [[] for _ in range(vertex_count)]
+    ur = [[] for _ in range(vertex_count)]
+    dr = [[] for _ in range(vertex_count)]
+    dl = [[] for _ in range(vertex_count)]
+    for i, (half, left, right) in enumerate(edges):
+        at_left, at_right = (ul, ur) if half == "U" else (dl, dr)
+        at_left[left].append((right, i))
+        at_right[right].append((left, i))
+    rotations = [
+        [(i, _L) for _, i in sorted(ul[v])]
+        + [(i, _R) for _, i in sorted(ur[v])]
+        + [(i, _R) for _, i in sorted(dr[v], reverse=True)]
+        + [(i, _L) for _, i in sorted(dl[v], reverse=True)]
+        for v in range(vertex_count)
+    ]
+    # Corner strands: between cyclically consecutive ends h, h' the medial
+    # strand joins the ccw port of h to the cw port of h'.
+    arc_of: dict[tuple[int, int, int], int] = {}
+    free_loops = 0
+    next_arc = 0
+    for rot in rotations:
+        if not rot:
+            free_loops += 1
+        for q, (ei, end) in enumerate(rot):
+            ej, end2 = rot[(q + 1) % len(rot)]
+            arc_of[(ei, end, _CCW)] = arc_of[(ej, end2, _CW)] = next_arc
+            next_arc += 1
+    crossings = []
+    for i, (half, _, _) in enumerate(edges):
+        lcw, lccw = arc_of[(i, _L, _CW)], arc_of[(i, _L, _CCW)]
+        rcw, rccw = arc_of[(i, _R, _CW)], arc_of[(i, _R, _CCW)]
+        crossings.append((lccw, lcw, rccw, rcw) if half == "U" else (lcw, rccw, rcw, lccw))
+    return LinkDiagram(crossings, free_loops)
+
+
 def graft_element(p: TreePair, leaf: int, g: TreePair) -> TreePair:
     """Insert the diagram of ``g`` at a shared leaf of ``p``'s diagram."""
     return TreePair(graft(p.source, leaf, g.source), graft(p.target, leaf, g.target))
