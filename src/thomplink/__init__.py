@@ -4,7 +4,6 @@ Kauffman brackets, and annular-strand-diagram conjugacy testing."""
 from .bracket import StateLimitError, equivalent_up_to_units, kauffman_bracket
 from .conway import ConwayCode, continued_fraction, two_bridge_diagram
 from .families import (
-    Hsequence,
     attach_a,
     conjugate,
     element_a,

@@ -27,6 +27,7 @@ from .families import conjugate, element_a, g_element, h_element, h_sequence
 from .laurent import DELTA
 from .links import LinkDiagram, component_count, direct_link, medial_link, simplify
 from .pairs import (
+    MAX_WORD_LEAVES,
     TreePair,
     Word,
     from_word,
@@ -165,12 +166,18 @@ def _cmd_conjugate(args) -> int:
     return 0
 
 
+def _check_leaves(name: str, leaves: int) -> None:
+    if leaves > MAX_WORD_LEAVES:
+        raise DomainError(f"{name} would have {leaves} leaves, more than the bound {MAX_WORD_LEAVES}")
+
+
 def _cmd_experiment_thm1(args) -> int:
     seed = _parse_element(args.seed) if args.seed else element_a()
-    seq = h_sequence(seed, args.n)
+    # each wrap adds four leaves to the reduced seed
+    _check_leaves(f"h{args.n}", reduce_pair(seed).leaf_count + 4 * (args.n - 1))
     rows = []
     brackets = []
-    for i, h in enumerate(seq.elements, 1):
+    for i, h in enumerate(h_sequence(seed, args.n), 1):
         rep = simplify(direct_link(h))
         br = kauffman_bracket(rep.diagram, args.max_states)
         r = reduced_annular_of(h)
@@ -213,6 +220,8 @@ def _cmd_experiment_thm1(args) -> int:
 
 def _cmd_experiment_thm2(args) -> int:
     gen_index = 0 if args.gen == "x0" else 1
+    # g_element(n) has the 2n + 2 leaves of T_n, and h_element(n) one more
+    _check_leaves(f"{'gh'[gen_index]}_element({args.n})", 2 * args.n + 2 + gen_index)
     x = make_generator(gen_index)
     rows = []
     for n in range(1, args.n + 1):

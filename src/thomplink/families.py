@@ -15,7 +15,6 @@ them stays inside one conjugacy class while the links run through the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .pairs import TreePair, from_word, invert, multiply, reduce_pair
@@ -24,7 +23,6 @@ from .trees import BinaryTree, LEAF, _tree, graft, right_comb
 __all__ = [
     "element_a",
     "attach_a",
-    "Hsequence",
     "h_sequence",
     "tree_T",
     "g_element",
@@ -51,21 +49,16 @@ def attach_a(p: TreePair) -> TreePair:
     return TreePair(graft(a.source, 0, p.source), graft(a.target, 0, p.target))
 
 
-@dataclass(frozen=True)
-class Hsequence:
-    seed: TreePair
-    elements: tuple[TreePair, ...]
-
-
-def h_sequence(seed: TreePair, n: int) -> Hsequence:
-    """``n`` elements starting from ``seed``, each wrapped once more."""
+def h_sequence(seed: TreePair, n: int) -> tuple[TreePair, ...]:
+    """``n`` elements starting from the reduced ``seed``, each wrapped once
+    more."""
     if n < 1:
         raise ValueError("need at least one element")
     seed = reduce_pair(seed)
     out = [seed]
     for _ in range(n - 1):
         out.append(attach_a(out[-1]))
-    return Hsequence(seed, tuple(out))
+    return tuple(out)
 
 
 def tree_T(n: int) -> BinaryTree:

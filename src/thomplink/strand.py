@@ -34,14 +34,14 @@ gauge-reduced windings and the identities of the two marked faces (the
 face containing the hole and the outer face, recovered from the rotation
 system that the vertex types force: split ccw = (in, L, R), merge ccw =
 (out, R, L)).  Components and free loops are listed in their radial
-nesting order, which is part of the isotopy class.
+nesting order, which is part of the isotopy class.  Every item winds
+around the hole, so an inner item separates an outer one from the hole:
+the order is that of the items' first crossings along the cut.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
-from functools import cmp_to_key
 from heapq import heappop, heappush
 
 from .pairs import TreePair
@@ -283,20 +283,17 @@ class _Net:
         self._remove_vertex(split_vid)
         return self._resolve_connectors([left, right])
 
+    def parallel_loops(self) -> set[int]:
+        """The tokens of the free loops that type III drops: each one whose
+        radial predecessor is a free loop too."""
+        if len(self.loop_tokens) < 2:
+            return set()
+        items = self.radial_items()
+        return {b[0] for a, b in zip(items, items[1:]) if len(a) == len(b) == 1}
+
     def merge_parallel_loops(self) -> None:
         """Type III: collapse runs of radially adjacent free loops."""
-        if len(self.loop_tokens) < 2:
-            return
-        order = self.radial_items(self._face_orbits()[0])
-        drop: set[int] = set()
-        prev_loop_token = None
-        for kind, payload in order:
-            if kind == "loop":
-                if prev_loop_token is not None:
-                    drop.add(payload)
-                prev_loop_token = payload
-            else:
-                prev_loop_token = None
+        drop = self.parallel_loops()
         if drop:
             self.loop_tokens = [t for t in self.loop_tokens if t not in drop]
             self.cut_order = [t for t in self.cut_order if t not in drop]
@@ -387,74 +384,39 @@ class _Net:
             comps[comp_of[vid]].append(eid)
         return comps
 
-    def radial_items(self, faces: list[int]) -> list[tuple[str, object]]:
-        """Components and free loops sorted innermost to outermost, given
-        the face of every dart (:meth:`_face_orbits`).
+    def radial_items(self) -> list[tuple]:
+        """Components and free loops innermost first: a free loop as
+        ``(token,)``, a component as ``(edges, crossed)``, where ``crossed``
+        lists the edge at each of its cut crossings, innermost first.
 
-        One walk outward along the cut gives each component the positions
-        of its own crossings and, in ``gaps``, the face of that component
-        which each stretch of the cut between them lies in: the hole face
-        before the first, the outer face after the last.
+        Every item winds around the hole, so an item inside another one
+        separates that one from the hole and the cut meets it first: the
+        radial order is the order of first crossings.
         """
-        tail, head = self.tail, self.head
-        comps = []
+        tail = self.tail
+        comps = [(edges, []) for edges in self.component_edges()]
         comp_of: list = [None] * len(tail)
-        for edges in self.component_edges():
-            c = {"edges": edges, "cross": [], "gaps": []}
-            comps.append(c)
-            for eid in edges:
-                comp_of[eid] = c
+        for comp in comps:
+            for eid in comp[0]:
+                comp_of[eid] = comp
         owner = [-1] * self.token_count
         for eid, tokens in enumerate(self.toks):
             if tail[eid] >= 0:
                 for t in tokens:
                     owner[t] = eid
-        pos = [-1] * self.token_count
-        for i, t in enumerate(self.cut_order):
-            pos[t] = i
+        items: list[tuple] = []
+        for t in self.cut_order:
             eid = owner[t]
-            if eid < 0:
+            if eid < 0:  # the token of a free loop
+                items.append((t,))
                 continue
-            c = comp_of[eid]
-            if not c["gaps"]:
-                c["gaps"].append(faces[head[eid]])  # the hole face of this component
-            elif c["gaps"][-1] != faces[head[eid]]:
-                raise AssertionError("cut walk out of step with faces")
-            c["cross"].append(i)
-            c["gaps"].append(faces[tail[eid]])
-        for c in comps:
-            if not c["cross"]:
-                raise AssertionError("a component must wind around the hole")
-            outer_e = owner[self.cut_order[c["cross"][-1]]]
-            if c["gaps"][-1] != faces[tail[outer_e]]:
-                raise AssertionError("cut walk must end in the outer face")
-            c["min_pos"] = c["cross"][0]
-            c["hole"] = c["gaps"][0]
-            c["outer"] = c["gaps"][-1]
-
-        items = [("component", c) for c in comps]
-        items += [("loop", t) for t in self.loop_tokens]
-
-        def item_pos(item) -> int:
-            return item[1]["min_pos"] if item[0] == "component" else pos[item[1]]
-
-        def inside(item, comp) -> bool:
-            return comp["gaps"][bisect_left(comp["cross"], item_pos(item))] == comp["hole"]
-
-        def cmp(a, b) -> int:
-            if a is b:
-                return 0
-            if a[0] == "loop" and b[0] == "loop":
-                return -1 if item_pos(a) < item_pos(b) else 1
-            if b[0] == "component" and inside(a, b[1]):
-                return -1
-            if a[0] == "component" and inside(b, a[1]):
-                return 1
-            if a[0] == "component" and b[0] == "component":
-                raise AssertionError("disjoint winding components must nest")
-            return 1 if a[0] == "loop" else -1
-
-        return sorted(items, key=cmp_to_key(cmp))
+            comp = comp_of[eid]
+            if not comp[1]:
+                items.append(comp)
+            comp[1].append(eid)
+        if not all(crossed for _, crossed in comps):
+            raise AssertionError("a component must wind around the hole")
+        return items
 
     # -- invariants ----------------------------------------------------------
 
@@ -559,13 +521,20 @@ class _Net:
 
     def canonical_form(self) -> tuple:
         faces, orbits = self._face_orbits()
+        tail, head = self.tail, self.head
         items = []
-        for kind, payload in self.radial_items(faces):
-            if kind == "loop":
+        for item in self.radial_items():
+            if len(item) == 1:
                 items.append("O")
-            else:
-                marks = (orbits[payload["hole"]], orbits[payload["outer"]])
-                items.append(self._min_signature(payload["edges"], marks))
+                continue
+            edges, crossed = item
+            # the cut runs in one face of the component from each crossing
+            # to the next: the hole face before the first, the outer after
+            # the last
+            if [faces[tail[e]] for e in crossed[:-1]] != [faces[head[e]] for e in crossed[1:]]:
+                raise AssertionError("cut walk out of step with faces")
+            marks = (orbits[faces[head[crossed[0]]]], orbits[faces[tail[crossed[-1]]]])
+            items.append(self._min_signature(edges, marks))
         return tuple(items)
 
 
@@ -724,11 +693,8 @@ class AnnularStrandDiagram:
 
     @property
     def is_reduced(self) -> bool:
-        if self._net.bigon_moves() or self._net.pass_moves():
-            return False
-        probe = self._net.copy()
-        probe.merge_parallel_loops()
-        return len(probe.loop_tokens) == len(self._net.loop_tokens)
+        net = self._net
+        return not (net.bigon_moves() or net.pass_moves() or net.parallel_loops())
 
     def winding_condition_holds(self) -> bool:
         return self._net.zero_winding_acyclic()

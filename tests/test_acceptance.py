@@ -87,16 +87,14 @@ def test_criterion_3_wrapping_adds_four_leaves():
 
 def test_criterion_4_one_link_for_the_whole_sequence():
     start = time.perf_counter()
-    seq = h_sequence(element_a(), 5)
-    brackets = [simplified_bracket(h) for h in seq.elements]
+    brackets = [simplified_bracket(h) for h in h_sequence(element_a(), 5)]
     ok = all(equivalent_up_to_units(brackets[0], b, 4) for b in brackets[1:])
     elapsed = time.perf_counter() - start
     report(4, f"h1..h5 brackets pairwise equivalent in {elapsed:.2f}s", ok and elapsed < 30.0)
 
 
 def test_criterion_5_distinct_conjugacy_classes():
-    seq = h_sequence(element_a(), 5)
-    reduced = [reduced_annular_of(h) for h in seq.elements]
+    reduced = [reduced_annular_of(h) for h in h_sequence(element_a(), 5)]
     codes = [canonical_code(r) for r in reduced]
     comps = [annular_component_count(r) for r in reduced]
     ok = len(set(codes)) == 5

@@ -130,6 +130,11 @@ def test_domain_errors_exit_1(capsys):
         (["oracle", "two-bridge", "\u0663,1"], 1),
         (["element", "parse", "x99999999999999999999"], 1),  # past the word size bound
         (["element", "parse", "x0^99999999999999999999"], 1),
+        # past the word size bound before any element is built
+        (["experiment", "thm1", "--n", "99999999999999999999"], 1),
+        (["experiment", "thm1", "--n", "25000"], 1),  # 5 + 4 * 24999 leaves
+        (["experiment", "thm2", "--gen", "x0", "--n", "99999999999999999999"], 1),
+        (["experiment", "thm2", "--gen", "x1", "--n", "49999"], 1),  # 2 * 49999 + 3 leaves
     ],
 )
 def test_bad_input_fails_without_traceback(argv, status):

@@ -57,14 +57,14 @@ def test_attach_a_identity():
 
 def test_h_sequence():
     seq = h_sequence(element_a(), 5)
-    assert len(seq.elements) == 5
-    counts = [h.leaf_count for h in seq.elements]
+    assert len(seq) == 5
+    counts = [h.leaf_count for h in seq]
     assert counts == [5, 9, 13, 17, 21]
-    for h in seq.elements:
+    for h in seq:
         assert h.is_reduced
     with pytest.raises(ValueError):
         h_sequence(element_a(), 0)
-    assert len(h_sequence(element_a(), 1).elements) == 1
+    assert len(h_sequence(element_a(), 1)) == 1
 
 
 def test_tree_T():

@@ -287,7 +287,7 @@ def simplify_corpus():
         for _ in range(rng.randint(1, 4)):
             d = with_kink(rng, d)
         yield d
-    yield from map(direct_link, h_sequence(element_a(), 60).elements)
+    yield from map(direct_link, h_sequence(element_a(), 60))
     for n in range(1, 16):
         yield direct_link(conjugate(g_element(n), X0))
         yield direct_link(conjugate(h_element(n), X1))
@@ -313,7 +313,7 @@ def test_simplify_is_pinned():
 
 
 def test_simplify_at_1920_crossings():
-    h = h_sequence(element_a(), 240).elements[-1]
+    h = h_sequence(element_a(), 240)[-1]
     d = direct_link(h)
     assert d.crossing_count == 1920
     rep = simplify(d)

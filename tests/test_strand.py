@@ -11,8 +11,11 @@ from thomplink import (
     are_conjugate,
     canonical_code,
     concatenate,
+    conjugate,
     element_a,
     from_word,
+    g_element,
+    h_element,
     h_sequence,
     identity,
     invert,
@@ -85,13 +88,15 @@ def reference_signature(net, start, marks):
 def reference_code(a):
     """Canonical code by the exhaustive minimum over every start edge."""
     net = a._net
+    faces = net._face_orbits()[0]
     items = []
-    for kind, payload in net.radial_items(net._face_orbits()[0]):
-        if kind == "loop":
+    for item in net.radial_items():
+        if len(item) == 1:
             items.append("O")
         else:
-            marks = (payload["hole"], payload["outer"])
-            items.append(min(reference_signature(net, e, marks) for e in payload["edges"]))
+            edges, crossed = item
+            marks = (faces[net.head[crossed[0]]], faces[net.tail[crossed[-1]]])
+            items.append(min(reference_signature(net, e, marks) for e in edges))
     return _format_code(tuple(items), a.free_loops)
 
 
@@ -163,12 +168,24 @@ def renumbered(a, rng):
     return AnnularStrandDiagram(out)
 
 
-def radial_summary(items):
-    return [
-        (kind, sorted(payload["edges"]), payload["hole"], payload["outer"])
-        if kind == "component" else (kind, payload)
-        for kind, payload in items
-    ]
+def radial_summary(net, faces, items):
+    """Each free loop as ("loop", token) and each component as
+    ("component", sorted edges, hole face, outer face), read off the items
+    of ``net.radial_items()`` or of ``reference_radial_items``."""
+    out = []
+    for item in items:
+        if item[0] == "component":
+            c = item[1]
+            out.append(("component", sorted(c["edges"]), c["hole"], c["outer"]))
+        elif item[0] == "loop":
+            out.append(item)
+        elif len(item) == 1:
+            out.append(("loop", item[0]))
+        else:
+            edges, crossed = item
+            hole, outer = faces[net.head[crossed[0]]], faces[net.tail[crossed[-1]]]
+            out.append(("component", sorted(edges), hole, outer))
+    return out
 
 
 def test_identity_strand_and_closure():
@@ -413,10 +430,13 @@ def test_symmetric_closures_cost_two_walks(monkeypatch):
 
 
 def test_radial_order_matches_whole_cut_walk():
-    # wrapped elements, whose component count grows with n, and nets
-    # reduced by types I and II only, so that runs of free loops are still
-    # there for type III
-    nets = [reduced_annular_of(h)._net for h in h_sequence(element_a(), 60).elements]
+    # wrapped elements, whose component count grows with n, the reduced
+    # Theorem 2 conjugates, unreduced closures, and nets reduced by types I
+    # and II only, so that runs of free loops are still there for type III
+    nets = [reduced_annular_of(h)._net for h in h_sequence(element_a(), 60)]
+    for n in range(1, 13):
+        nets.append(reduced_annular_of(conjugate(g_element(n), X0))._net)
+        nets.append(reduced_annular_of(conjugate(h_element(n), X1))._net)
     rng = Random(62)
     loops = 0
     while loops < 300:
@@ -425,10 +445,43 @@ def test_radial_order_matches_whole_cut_walk():
         if net.loop_tokens:
             nets.append(net)
             loops += 1
+    nets += [annular_of(random_element(rng, 40))._net for _ in range(200)]
     for net in nets:
         faces = net._face_orbits()[0]
-        got = radial_summary(net.radial_items(faces))
-        assert got == radial_summary(reference_radial_items(net, faces))
+        items = net.radial_items()
+        got = radial_summary(net, faces, items)
+        assert got == radial_summary(net, faces, reference_radial_items(net, faces))
+        owner = {t: eid for eid, tokens in enumerate(net.toks) if net.tail[eid] >= 0 for t in tokens}
+        for item in items:
+            if len(item) == 2:  # every crossing of the component, in cut order
+                edges, crossed = item
+                walk = [owner[t] for t in net.cut_order if owner.get(t, -1) in edges]
+                assert crossed == walk
+
+
+def test_type_three_drops_loops_after_loops():
+    # nets reduced by types I and II only, with two free loops or more:
+    # type III drops exactly the loops whose radial predecessor, by the
+    # whole-cut reference, is a free loop
+    rng = Random(62)
+    merged = kept = 0
+    while merged + kept < 1000:
+        net = annular_of(random_element(rng, 30))._net
+        net.reduce()
+        if len(net.loop_tokens) < 2:
+            continue
+        items = reference_radial_items(net, net._face_orbits()[0])
+        want = {b[1] for a, b in zip(items, items[1:]) if a[0] == b[0] == "loop"}
+        a = AnnularStrandDiagram(net)
+        assert a.is_reduced == (not want)
+        before = set(net.loop_tokens)
+        net.merge_parallel_loops()
+        assert before - set(net.loop_tokens) == want
+        assert set(net.cut_order) >= set(net.loop_tokens) and not set(net.cut_order) & want
+        assert a.is_reduced
+        merged += bool(want)
+        kept += not want
+    assert merged >= 100 and kept >= 100
 
 
 def test_conjugacy_at_600_leaves():
