@@ -2,10 +2,11 @@
 
 An element is a pair of binary trees with the same number of leaves,
 considered up to simultaneously attaching or removing a caret at matching
-leaves.  Multiplication expands both operands to a common refinement where
-the target of the first equals the source of the second and glues them;
-every equivalence class has a unique reduced representative, which all
-operations here return.
+leaves.  Multiplication glues the target of the first operand to the source
+of the second on their least common refinement, read in one walk over the
+two trees: wherever one tree has a leaf and the other a subtree, that
+subtree is grafted under the leaf.  Every equivalence class has a unique
+reduced representative, which all operations here return.
 
 The generator ``x_i`` has ``i + 3`` leaves: its source is the right comb of
 depth ``i`` finished with the three-leaf block ``((..).)``, its target the
@@ -23,16 +24,15 @@ from random import Random
 from .trees import (
     LEAF,
     BinaryTree,
+    _subtree_end,
     _tree,
     caret,
-    common_refinement,
     graft,
     graft_all,
     is_right_comb,
     leaf_exponents,
     random_tree,
     right_comb,
-    split_along,
     tree_from_bits,
     tree_from_exponents,
 )
@@ -170,14 +170,34 @@ def reduce_pair(p: TreePair) -> TreePair:
 def multiply(p: TreePair, q: TreePair) -> TreePair:
     """Reduced product ``p * q``: glue the target of ``p`` to the source of ``q``.
 
-    Both operands are expanded to the least common refinement of
-    ``p.target`` and ``q.source``; the product is the pair made of the
-    refined source of ``p`` and refined target of ``q``.
+    One walk over ``p.target`` and ``q.source`` in step expands both
+    operands to the least common refinement of those trees.  Where both
+    have a node the walk steps into both.  Where ``p.target`` has a leaf and
+    ``q.source`` a subtree S, S is grafted under that leaf of ``p`` and
+    ``q`` keeps S's leaves bare; where ``q.source`` has the leaf, the same
+    holds with ``p`` and ``q`` swapped.  The product is the pair of the
+    grafted source of ``p`` and grafted target of ``q``.
     """
-    mid = common_refinement(p.target, q.source)
-    source = graft_all(p.source, split_along(mid, p.target))
-    target = graft_all(q.target, split_along(mid, q.source))
-    return reduce_pair(TreePair(source, target))
+    x, y = p.target.bits, q.source.bits
+    below_p: list[BinaryTree] = []  # what is grafted under each leaf of p
+    below_q: list[BinaryTree] = []
+    i = j = 0
+    while i < len(x):
+        if x[i] == "0":
+            end = _subtree_end(y, j)
+            sub = _tree(y[j:end])
+            below_p.append(sub)
+            below_q += [LEAF] * sub.leaf_count
+            i, j = i + 1, end
+        elif y[j] == "0":
+            end = _subtree_end(x, i)
+            sub = _tree(x[i:end])
+            below_q.append(sub)
+            below_p += [LEAF] * sub.leaf_count
+            i, j = end, j + 1
+        else:
+            i, j = i + 1, j + 1
+    return reduce_pair(TreePair(graft_all(p.source, below_p), graft_all(q.target, below_q)))
 
 
 def invert(p: TreePair) -> TreePair:
@@ -304,17 +324,12 @@ def _block_leaf_bound(block) -> int:
 
 
 def _block_pair(positive, negative) -> TreePair:
-    """The pair of P N^-1 from P's ascending and N^-1's descending factors."""
-    source, target = tree_from_exponents(positive), tree_from_exponents(negative[::-1])
-    n = max(source.leaf_count, target.leaf_count)
-    return TreePair(_pad(source, n), _pad(target, n))
-
-
-def _pad(t: BinaryTree, n: int) -> BinaryTree:
-    """``t`` with a right comb grafted at its last leaf, to ``n`` leaves."""
-    if n == t.leaf_count:
-        return t
-    return _tree(t.bits[:-1] + "10" * (n - t.leaf_count) + "0")
+    """The pair of P N^-1 from P's ascending and N^-1's descending factors,
+    each tree padded to the larger's leaves with a right comb at its last
+    leaf."""
+    trees = tree_from_exponents(positive), tree_from_exponents(negative[::-1])
+    n = max(t.leaf_count for t in trees)
+    return TreePair(*(graft(t, t.leaf_count - 1, right_comb(n + 1 - t.leaf_count)) for t in trees))
 
 
 def _positive_factors(tree: BinaryTree) -> list[tuple[int, int]]:

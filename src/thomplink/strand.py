@@ -384,6 +384,17 @@ class _Net:
             comps[comp_of[vid]].append(eid)
         return comps
 
+    def cut_owners(self) -> list[int]:
+        """The live edge that holds each token of ``cut_order``, in cut
+        order, and -1 for the token of a free loop: the cut holds exactly
+        the tokens of live edges and free loops."""
+        owner = [-1] * self.token_count
+        for eid, tokens in enumerate(self.toks):
+            if self.tail[eid] >= 0:
+                for t in tokens:
+                    owner[t] = eid
+        return [owner[t] for t in self.cut_order]
+
     def radial_items(self) -> list[tuple]:
         """Components and free loops innermost first: a free loop as
         ``(token,)``, a component as ``(edges, crossed)``, where ``crossed``
@@ -393,20 +404,13 @@ class _Net:
         separates that one from the hole and the cut meets it first: the
         radial order is the order of first crossings.
         """
-        tail = self.tail
         comps = [(edges, []) for edges in self.component_edges()]
-        comp_of: list = [None] * len(tail)
+        comp_of: list = [None] * len(self.tail)
         for comp in comps:
             for eid in comp[0]:
                 comp_of[eid] = comp
-        owner = [-1] * self.token_count
-        for eid, tokens in enumerate(self.toks):
-            if tail[eid] >= 0:
-                for t in tokens:
-                    owner[t] = eid
         items: list[tuple] = []
-        for t in self.cut_order:
-            eid = owner[t]
+        for t, eid in zip(self.cut_order, self.cut_owners()):
             if eid < 0:  # the token of a free loop
                 items.append((t,))
                 continue
@@ -702,12 +706,6 @@ class AnnularStrandDiagram:
     def to_json(self) -> str:
         net = self._net
         kind, att = net.kind, net.att
-        loops = set(net.loop_tokens)
-        owner = {}
-        for eid, tokens in enumerate(net.toks):
-            if net.tail[eid] >= 0:
-                for t in tokens:
-                    owner[t] = eid
 
         def end(dart: int) -> list:
             return [dart // 3, _SLOTS[kind[dart // 3]][dart % 3]]
@@ -727,9 +725,7 @@ class AnnularStrandDiagram:
                     if tail >= 0
                 ],
                 "cut_sequence": [
-                    {"edge": owner[t]} if t in owner else {"loop": True}
-                    for t in net.cut_order
-                    if t in owner or t in loops
+                    {"edge": eid} if eid >= 0 else {"loop": True} for eid in net.cut_owners()
                 ],
                 "free_loops": len(net.loop_tokens),
             }

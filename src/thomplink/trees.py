@@ -29,8 +29,6 @@ __all__ = [
     "node_spans",
     "graft",
     "graft_all",
-    "split_along",
-    "common_refinement",
     "leaf_exponents",
     "tree_from_exponents",
     "random_tree",
@@ -176,46 +174,6 @@ def graft_all(t: BinaryTree, parts: list[BinaryTree]) -> BinaryTree:
     out = [runs[0]]
     for part, ones in zip(parts, runs[1:]):
         out += (part.bits, ones)
-    return _tree("".join(out))
-
-
-def split_along(refined: BinaryTree, base: BinaryTree) -> list[BinaryTree]:
-    """Decompose ``refined`` along ``base``: the list of subtrees hanging at
-    the positions of ``base``'s leaves.  ``refined`` must be an expansion of
-    ``base`` (``graft_all(base, split_along(refined, base)) == refined``)."""
-    bits = refined.bits
-    parts: list[BinaryTree] = []
-    i = 0
-    for b in base.bits:
-        if b == "0":
-            end = _subtree_end(bits, i)
-            parts.append(_tree(bits[i:end]))
-            i = end
-        elif bits[i] == "1":
-            i += 1
-        else:
-            raise ValueError("first tree does not refine the second")
-    return parts
-
-
-def common_refinement(a: BinaryTree, b: BinaryTree) -> BinaryTree:
-    """Least common expansion of two trees: walk both preorders in step; where
-    one tree has a leaf, copy the other's subtree."""
-    x, y = a.bits, b.bits
-    out: list[str] = []
-    i = j = 0
-    while i < len(x):
-        if x[i] == "0":
-            end = _subtree_end(y, j)
-            out.append(y[j:end])
-            i, j = i + 1, end
-        elif y[j] == "0":
-            end = _subtree_end(x, i)
-            out.append(x[i:end])
-            i, j = end, j + 1
-        else:
-            out.append("1")
-            i, j = i + 1, j + 1
     return _tree("".join(out))
 
 

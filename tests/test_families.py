@@ -20,8 +20,8 @@ from thomplink import (
     to_word,
     tree_T,
 )
-from thomplink.trees import LEAF, BinaryTree, caret, graft, split_along
-from util import X0, X1, fast_conjugate_shape
+from thomplink.trees import LEAF, BinaryTree, caret, graft
+from util import X0, X1, fast_conjugate_shape, split_along
 
 
 def test_element_a_regression():

@@ -20,8 +20,8 @@ from thomplink import (
     to_word,
 )
 from thomplink.pairs import MAX_WORD_LEAVES, _block_leaf_bound, _block_pair, _blocks
-from thomplink.trees import common_refinement, graft_all, random_tree, split_along, tree_from_bits
-from util import factor_product, rescan_reduce_pair, unreduced_pair
+from thomplink.trees import graft_all, random_tree, tree_from_bits
+from util import common_refinement, factor_product, rescan_reduce_pair, split_along, unreduced_pair
 
 
 def test_generator_shapes():
@@ -126,6 +126,35 @@ def test_reduce_matches_rescan_oracle():
         r = reduce_pair(p)
         assert r == rescan_reduce_pair(p), p
         assert r.is_reduced
+
+
+def _expanded(rng: Random, p: TreePair) -> TreePair:
+    for _ in range(rng.randint(1, 4)):
+        p = expand(p, rng.randrange(p.leaf_count))
+    return p
+
+
+def test_multiply_matches_refinement_reference():
+    # the one-walk product against the refinement built as a tree and cut
+    # apart along each glued tree
+    rng = Random(18)
+    operands = [(random_element(rng, 60), random_element(rng, 60)) for _ in range(300)]
+    for _ in range(200):
+        operands.append(tuple(_expanded(rng, random_element(rng, 30)) for _ in range(2)))
+    for _ in range(20):
+        p = random_element(rng, 30)
+        t = random_tree(rng.randint(1, 10), rng)
+        operands += [(identity(), p), (p, identity()), (TreePair(t, t), p), (p, TreePair(t, t))]
+    n = 10_000
+    left = tree_from_bits("1" * (n - 1) + "0" * n)
+    right = tree_from_bits("10" * (n - 1) + "0")
+    to_left, to_right = TreePair(right, left), TreePair(left, right)
+    # the glued trees are left x right, right x left and left x left
+    operands += [(to_left, to_left), (to_right, to_right), (to_left, to_right)]
+    for p, q in operands:
+        assert multiply(p, q) == reduce_pair(_unreduced_product(p, q)), (p, q)
+    assert multiply(to_left, to_right) == identity()
+    assert multiply(to_left, to_left).leaf_count == 2 * n - 2
 
 
 def test_equals_examples():

@@ -357,6 +357,22 @@ def test_json_export():
     assert sum(e["winding"] for e in data["edges"]) >= 1
 
 
+def test_cut_holds_live_edges_and_loops():
+    # closures, their type I/II reductions and their full reductions: the
+    # cut holds exactly the tokens of live edges and free loops, so the
+    # JSON lists one entry per cut token
+    rng = Random(63)
+    for _ in range(300):
+        a = annular_of(random_element(rng, 30))
+        partial = a._net.copy()
+        partial.reduce()
+        for net in (a._net, partial, reduce_annular(a)._net):
+            live = [t for eid, tokens in enumerate(net.toks) if net.tail[eid] >= 0 for t in tokens]
+            assert sorted(net.cut_order) == sorted(live + net.loop_tokens)
+            data = json.loads(AnnularStrandDiagram(net).to_json())
+            assert len(data["cut_sequence"]) == len(net.cut_order)
+
+
 def test_fast_engine_matches_exhaustive_references():
     # random reduced diagrams, and powers whose diagrams are symmetric, so
     # that the canonical search skips automorphic starts

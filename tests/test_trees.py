@@ -7,20 +7,18 @@ from thomplink.trees import (
     LEAF,
     BinaryTree,
     caret,
-    common_refinement,
     graft_all,
     is_right_comb,
     leaf_exponents,
     node_spans,
     random_tree,
     right_comb,
-    split_along,
     tree_from_bits,
     tree_from_exponents,
     tree_darts,
 )
 from thomplink.svg import _span_ends
-from util import reference_table
+from util import common_refinement, reference_table, split_along
 
 
 def test_bits_round_trip():

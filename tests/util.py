@@ -20,7 +20,7 @@ from thomplink import (
 )
 from thomplink.links import _join
 from thomplink.strand import _Cut
-from thomplink.trees import caret, graft, random_tree, tree_from_bits
+from thomplink.trees import BinaryTree, _subtree_end, _tree, caret, graft, random_tree, tree_from_bits
 
 
 def reference_table(bits: str):
@@ -180,6 +180,49 @@ def rescan_reduce_pair(p: TreePair) -> TreePair:
             return TreePair(tree_from_bits(source), tree_from_bits(target))
         i = min(shared)
         source, target = _remove_caret(source, i), _remove_caret(target, i)
+
+
+# The reference product: the least common refinement of p.target and
+# q.source built as a tree, then cut apart along each of them
+
+def split_along(refined: BinaryTree, base: BinaryTree) -> list[BinaryTree]:
+    """Decompose ``refined`` along ``base``: the list of subtrees hanging at
+    the positions of ``base``'s leaves.  ``refined`` must be an expansion of
+    ``base`` (``graft_all(base, split_along(refined, base)) == refined``)."""
+    bits = refined.bits
+    parts: list[BinaryTree] = []
+    i = 0
+    for b in base.bits:
+        if b == "0":
+            end = _subtree_end(bits, i)
+            parts.append(_tree(bits[i:end]))
+            i = end
+        elif bits[i] == "1":
+            i += 1
+        else:
+            raise ValueError("first tree does not refine the second")
+    return parts
+
+
+def common_refinement(a: BinaryTree, b: BinaryTree) -> BinaryTree:
+    """Least common expansion of two trees: walk both preorders in step; where
+    one tree has a leaf, copy the other's subtree."""
+    x, y = a.bits, b.bits
+    out: list[str] = []
+    i = j = 0
+    while i < len(x):
+        if x[i] == "0":
+            end = _subtree_end(y, j)
+            out.append(y[j:end])
+            i, j = i + 1, end
+        elif y[j] == "0":
+            end = _subtree_end(x, i)
+            out.append(x[i:end])
+            i, j = end, j + 1
+        else:
+            out.append("1")
+            i, j = i + 1, j + 1
+    return _tree("".join(out))
 
 
 def _power(p: TreePair, k: int) -> TreePair:
