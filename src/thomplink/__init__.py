@@ -39,16 +39,7 @@ from .pairs import (
     reduce_pair,
     to_word,
 )
-from .strand import (
-    AnnularStrandDiagram,
-    StrandDiagram,
-    annular_closure,
-    are_conjugate,
-    canonical_code,
-    concatenate,
-    reduce_annular,
-    strand_from_pair,
-)
+from .strand import AnnularStrandDiagram, are_conjugate, canonical_code, reduce_annular
 from .strand import component_count as annular_component_count
 from .tait import TaitGraph, tait_graph
 from .trees import BinaryTree, LEAF, right_comb, tree_from_bits

@@ -12,7 +12,7 @@ closure of the tree diagram itself: one connecting edge through each leaf
 gap plus one around the outside joining the two roots, after which every
 internal tree node is 4-valent and becomes a crossing whose overstrand is
 the pair of child edges.  Its darts come from :func:`trees.tree_darts`,
-the bitstring walk that ``strand.strand_from_pair`` builds on.  Both
+the bitstring walk that ``strand.annular_of`` builds on.  Both
 routes produce one crossing per internal tree node, ``2 * (leaves - 1)``
 in total, and the same link.
 """

@@ -1,15 +1,14 @@
-"""Strand diagrams and their annular closures: the conjugacy engine.
+"""Annular strand diagrams: the conjugacy engine.
 
-A strand diagram is a planar DAG in a square with one source on the top
-edge, one sink on the bottom, and otherwise trivalent vertices that are
-splits (one in, two ordered outs) or merges (two ordered ins, one out).
-A tree pair becomes a strand diagram by directing the source tree's edges
-downward (splits) and the target tree's upward-flipped edges (merges),
-gluing at the leaves.  Concatenation glues sink to source and realizes
-multiplication.
+An annular strand diagram is a directed graph embedded in an annulus whose
+vertices are splits (one in, two ordered outs) and merges (two ordered
+ins, one out).  A tree pair closes into one: the source tree's nodes
+become splits with their edges directed downward, the target tree's nodes
+merges, the two trees are glued at their leaves, and one edge runs from
+the target's root around the annulus to the source's root.  Conjugate
+elements close into diagrams that reduce to the same one.
 
-Identifying the top and bottom of the square turns a strand diagram into
-an annular one.  Three reductions apply in the annulus:
+Three reductions apply in the annulus:
 
   I   a split whose two outputs feed the matching inputs of one merge,
       with the bigon bounding a disk, collapses to a single edge;
@@ -48,11 +47,7 @@ from .pairs import TreePair
 from .trees import tree_darts
 
 __all__ = [
-    "StrandDiagram",
     "AnnularStrandDiagram",
-    "strand_from_pair",
-    "concatenate",
-    "annular_closure",
     "reduce_annular",
     "canonical_code",
     "are_conjugate",
@@ -64,16 +59,16 @@ __all__ = [
 
 # Vertex kinds, numbered in the order of their names so that vertex entries
 # compare as the names would.
-MERGE, SINK, SOURCE, SPLIT = range(4)
-_KINDS = ("merge", "sink", "source", "split")
+MERGE, SPLIT = range(2)
+_KINDS = ("merge", "split")
 
 # The slot names of each kind in slot order; slot s of vertex v is dart
 # 3v + s.
-_SLOTS = (("L", "R", "out"), ("in",), ("out",), ("in", "L", "R"))
+_SLOTS = (("L", "R", "out"), ("in", "L", "R"))
 
 # sigma: the step from a slot to the next one counterclockwise around its
 # vertex; split ccw = (in, L, R), merge ccw = (out, R, L)
-_TURN = ((2, -1, -1), (0,), (0,), (1, 1, -2))
+_TURN = ((2, -1, -1), (1, 1, -2))
 
 
 class _Cut:
@@ -148,15 +143,6 @@ class _Net:
         self.token_count = 0
 
     # -- construction -------------------------------------------------------
-
-    def add_edge(self, tail: int, head: int, tokens: tuple[int, ...] = ()) -> int:
-        eid = len(self.tail)
-        self.tail.append(tail)
-        self.head.append(head)
-        self.toks.append(tokens)
-        self.att[tail] = eid
-        self.att[head] = eid
-        return eid
 
     def new_token(self) -> int:
         tid = self.token_count
@@ -422,30 +408,6 @@ class _Net:
             raise AssertionError("a component must wind around the hole")
         return items
 
-    # -- invariants ----------------------------------------------------------
-
-    def zero_winding_acyclic(self) -> bool:
-        """Every directed cycle winds positively iff the subgraph of edges
-        that never cross the cut is acyclic."""
-        # Kahn's peel: repeatedly drop a vertex with no incoming edge left
-        adj: list[list[int]] = [[] for _ in self.kind]
-        indegree = [0] * len(self.kind)
-        for eid, tail in enumerate(self.tail):
-            if tail >= 0 and not self.toks[eid]:
-                w = self.head[eid] // 3
-                adj[tail // 3].append(w)
-                indegree[w] += 1
-        ready = [v for v, k in enumerate(self.kind) if k >= 0 and indegree[v] == 0]
-        peeled = 0
-        while ready:
-            v = ready.pop()
-            peeled += 1
-            for w in adj[v]:
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    ready.append(w)
-        return peeled == len(self.kind) - self.kind.count(-1)
-
     # -- canonical form -------------------------------------------------------
 
     def _min_signature(self, starts: list[int], marks: tuple[list, list]) -> tuple:
@@ -591,9 +553,8 @@ class _Walk:
                 psi[dst_v] = len(toks[eid]) if dst_v != src_v else 0
                 reached = (dst_v, src_v) if dst_v != src_v else (dst_v,)
             for vid in reached:
-                vkind = kind[vid]
-                entry = [vkind]
-                for nxt in att[3 * vid : 3 * vid + len(_SLOTS[vkind])]:
+                entry = [kind[vid]]
+                for nxt in att[3 * vid : 3 * vid + 3]:
                     ix = edge_ix.get(nxt)
                     if ix is None:
                         ix = edge_ix[nxt] = len(edge_order)
@@ -603,26 +564,24 @@ class _Walk:
         self.pos = pos
         return verts[k] if k < len(verts) else None
 
-    def signature(self, marks: tuple[list, list] | None) -> tuple:
+    def signature(self, marks: tuple[list, list]) -> tuple:
         """The whole signature; ``marks`` lists the darts of the hole face
-        and of the outer face, or is None for a square diagram.  A walk
-        serves one component, so the first result is kept."""
+        and of the outer face.  A walk serves one component, so the first
+        result is kept."""
         if self.sig is None:
             net = self.net
             self.entry(len(net.kind))
             att, tail, head, toks, psi = net.att, net.tail, net.head, net.toks, self.psi
+            edge_ix = self.edge_ix
             winds = tuple(
                 len(toks[eid]) + psi[tail[eid] // 3] - psi[head[eid] // 3]
                 for eid in self.edge_order
             )
-            self.sig = (tuple(self.verts), winds)
-            if marks is not None:
-                edge_ix = self.edge_ix
-                mark_ids = tuple(
-                    min((edge_ix[att[d]], 0 if tail[att[d]] == d else 1) for d in darts)
-                    for darts in marks
-                )
-                self.sig += (mark_ids,)
+            mark_ids = tuple(
+                min((edge_ix[att[d]], 0 if tail[att[d]] == d else 1) for d in darts)
+                for darts in marks
+            )
+            self.sig = (tuple(self.verts), winds, mark_ids)
         return self.sig
 
 
@@ -633,46 +592,12 @@ def _format_code(form: tuple, loops: int) -> str:
             parts.append("O")
             continue
         verts, winds, marks = item
-        # an annular vertex has three slots, so an entry is (kind, a, b, c)
+        # every vertex has three slots, so an entry is (kind, a, b, c)
         vtxt = ";".join(f"{_KINDS[k][0]}:{a},{b},{c}" for k, a, b, c in verts)
         wtxt = ",".join(map(str, winds))
         mtxt = ",".join(f"{e}{'st'[d]}" for e, d in marks)
         parts.append(f"[{vtxt}|{wtxt}|{mtxt}]")
     return (" ".join(parts) if parts else "-") + f" loops={loops}"
-
-
-class StrandDiagram:
-    """Immutable wrapper around a square split/merge network."""
-
-    __slots__ = ("_net", "_source", "_sink")
-
-    def __init__(self, net: _Net, source: int, sink: int):
-        self._net = net
-        self._source = source
-        self._sink = sink
-
-    @property
-    def split_count(self) -> int:
-        return self._net.kind.count(SPLIT)
-
-    @property
-    def merge_count(self) -> int:
-        return self._net.kind.count(MERGE)
-
-    def canonical_signature(self) -> tuple:
-        return _Walk(self._net, self._net.att[3 * self._source]).signature(None)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StrandDiagram)
-            and self.canonical_signature() == other.canonical_signature()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.canonical_signature())
-
-    def __repr__(self) -> str:
-        return f"StrandDiagram(splits={self.split_count}, merges={self.merge_count})"
 
 
 class AnnularStrandDiagram:
@@ -699,9 +624,6 @@ class AnnularStrandDiagram:
     def is_reduced(self) -> bool:
         net = self._net
         return not (net.bigon_moves() or net.pass_moves() or net.parallel_loops())
-
-    def winding_condition_holds(self) -> bool:
-        return self._net.zero_winding_acyclic()
 
     def to_json(self) -> str:
         net = self._net
@@ -738,92 +660,6 @@ class AnnularStrandDiagram:
         )
 
 
-def strand_from_pair(p: TreePair) -> StrandDiagram:
-    """Source tree as splits above, target tree as merges below, leaves glued.
-
-    Vertices: the source, the sink, the source tree's nodes in preorder as
-    splits, then the target tree's as merges.  Edges: the two root edges,
-    the internal edges of each tree, then the leaf strands.
-    """
-    net = _Net()
-    source, sink = 0, 1
-    carets = p.leaf_count - 1
-    net.kind = [SOURCE, SINK] + [SPLIT] * carets + [MERGE] * carets
-    net.att = [-1] * (3 * len(net.kind))
-    if carets == 0:
-        net.add_edge(3 * source, 3 * sink)
-        return StrandDiagram(net, source, sink)
-
-    up = 6  # the first dart of the first split
-    lo = up + 3 * carets  # and of the first merge
-    # a split holds its children at slots 1 and 2, a merge at 0 and 1
-    up_nodes, up_leaves, _ = tree_darts(p.source, up, 3, 1, 2)
-    lo_nodes, lo_leaves, _ = tree_darts(p.target, lo, 3, 0, 1)
-    # the root edges, the internal edges of each tree (a split's in is its
-    # slot 0 and a merge's out its slot 2), then the leaf strands
-    tails = [3 * source, lo + 2, *up_nodes, *range(lo + 5, lo + 3 * carets, 3), *up_leaves]
-    heads = [up, 3 * sink, *range(up + 3, up + 3 * carets, 3), *lo_nodes, *lo_leaves]
-    att = net.att
-    for eid, dart in enumerate(tails):
-        att[dart] = eid
-    for eid, dart in enumerate(heads):
-        att[dart] = eid
-    net.tail, net.head = tails, heads
-    net.toks = [()] * len(tails)
-    return StrandDiagram(net, source, sink)
-
-
-def concatenate(a: StrandDiagram, b: StrandDiagram) -> StrandDiagram:
-    """Glue the sink of ``a`` to the source of ``b`` and reduce."""
-    net = a._net.copy()
-    bn = b._net
-    offset_v = len(net.kind)
-    offset_d = 3 * offset_v
-    offset_e = len(net.tail)
-    net.kind += bn.kind
-    net.att += [eid + offset_e if eid >= 0 else -1 for eid in bn.att]
-    net.tail += [d + offset_d if d >= 0 else -1 for d in bn.tail]
-    net.head += [d + offset_d if d >= 0 else -1 for d in bn.head]
-    net.toks += [()] * len(bn.tail)
-
-    sink_a = a._sink
-    source_b = b._source + offset_v
-    ein = net.att[3 * sink_a]
-    eout = net.att[3 * source_b]
-    net._remove_vertex(sink_a)
-    net._remove_vertex(source_b)
-    net._resolve_connectors([[ein, eout, ()]])
-    net.reduce()
-    return StrandDiagram(net, a._source, b._sink + offset_v)
-
-
-def _close(net: _Net, source: int, sink: int) -> AnnularStrandDiagram:
-    """:func:`annular_closure` of the diagram that ``net`` holds, made in
-    place."""
-    se = net.att[3 * source]
-    te = net.att[3 * sink]
-    token = net.new_token()
-    net.cut_order = [token]
-    if se == te:
-        net._remove_vertex(source)
-        net._remove_vertex(sink)
-        net._drop_edge(se)
-        net.loop_tokens.append(token)
-        return AnnularStrandDiagram(net)
-    tail, head = net.tail[te], net.head[se]
-    net._drop_edge(se)
-    net._drop_edge(te)
-    net._remove_vertex(source)
-    net._remove_vertex(sink)
-    net.add_edge(tail, head, (token,))
-    return AnnularStrandDiagram(net)
-
-
-def annular_closure(s: StrandDiagram) -> AnnularStrandDiagram:
-    """Identify top and bottom; the gluing edge crosses the cut once."""
-    return _close(s._net.copy(), s._source, s._sink)
-
-
 def _reduced(net: _Net) -> AnnularStrandDiagram:
     net.reduce()
     net.merge_parallel_loops()
@@ -847,8 +683,40 @@ def component_count(a: AnnularStrandDiagram) -> int:
 
 
 def annular_of(p: TreePair) -> AnnularStrandDiagram:
-    s = strand_from_pair(p)
-    return _close(s._net, s._source, s._sink)
+    """The annular closure of the strand diagram of ``p``: the source tree
+    as splits above, the target tree as merges below, leaves glued, and the
+    target's root joined to the source's root by one edge that crosses the
+    cut once, at token 0.  The identity closes to one free loop.
+
+    Vertices: 0 and 1 unused, the source tree's nodes in preorder as
+    splits, then the target tree's as merges.  Edges: 0 and 1 unused, the
+    internal edges of each tree, the leaf strands, then the closing edge.
+    """
+    net = _Net()
+    carets = p.leaf_count - 1
+    net.kind = [-1, -1] + [SPLIT] * carets + [MERGE] * carets
+    net.att = att = [-1] * (3 * len(net.kind))
+    net.cut_order = [net.new_token()]
+    if carets == 0:
+        net.loop_tokens = [0]
+        return AnnularStrandDiagram(net)
+
+    up = 6  # the first dart of the first split
+    lo = up + 3 * carets  # and of the first merge
+    # a split holds its children at slots 1 and 2, a merge at 0 and 1
+    up_nodes, up_leaves, _ = tree_darts(p.source, up, 3, 1, 2)
+    lo_nodes, lo_leaves, _ = tree_darts(p.target, lo, 3, 0, 1)
+    # the internal edges of each tree (a split's in is its slot 0 and a
+    # merge's out its slot 2), the leaf strands, then the closing edge
+    tails = [*up_nodes, *range(lo + 5, lo + 3 * carets, 3), *up_leaves, lo + 2]
+    heads = [*range(up + 3, up + 3 * carets, 3), *lo_nodes, *lo_leaves, up]
+    for eid, dart in enumerate(tails, 2):
+        att[dart] = eid
+    for eid, dart in enumerate(heads, 2):
+        att[dart] = eid
+    net.tail, net.head = [-1, -1, *tails], [-1, -1, *heads]
+    net.toks = [()] * (len(tails) + 1) + [(0,)]
+    return AnnularStrandDiagram(net)
 
 
 def reduced_annular_of(p: TreePair) -> AnnularStrandDiagram:

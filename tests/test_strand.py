@@ -6,11 +6,9 @@ from random import Random
 from thomplink import (
     AnnularStrandDiagram,
     TreePair,
-    annular_closure,
     annular_component_count,
     are_conjugate,
     canonical_code,
-    concatenate,
     conjugate,
     element_a,
     from_word,
@@ -24,12 +22,11 @@ from thomplink import (
     random_element,
     reduce_annular,
     reduce_pair,
-    strand_from_pair,
 )
 from thomplink import strand
 from thomplink.strand import _SLOTS, _format_code, annular_of, reduced_annular_of
 from thomplink.trees import random_tree
-from util import X0, X1, rescan_reduced
+from util import X0, X1, concatenate, rescan_reduced, square_of, winding_condition_holds
 
 
 def reference_signature(net, start, marks):
@@ -189,26 +186,25 @@ def radial_summary(net, faces, items):
 
 
 def test_identity_strand_and_closure():
-    s = strand_from_pair(identity())
-    assert s.split_count == 0 and s.merge_count == 0
-    a = annular_closure(s)
+    a = annular_of(identity())
+    assert a.split_count == 0 and a.merge_count == 0
     assert a.free_loops == 1
     assert annular_component_count(a) == 1
     assert canonical_code(a) == "O loops=1"
 
 
 def test_vertex_counts():
-    s = strand_from_pair(X0)
-    assert (s.split_count, s.merge_count) == (2, 2)
+    a = annular_of(X0)
+    assert (a.split_count, a.merge_count) == (2, 2)
     rng = Random(50)
     for _ in range(30):
         p = random_element(rng)
-        s = strand_from_pair(p)
-        assert s.split_count + s.merge_count == 2 * (p.leaf_count - 1)
+        a = annular_of(p)
+        assert a.split_count + a.merge_count == 2 * (p.leaf_count - 1)
 
 
 def test_closure_of_x0_and_regression():
-    a = annular_closure(strand_from_pair(X0))
+    a = annular_of(X0)
     assert (a.split_count, a.merge_count) == (2, 2)
     r = reduce_annular(a)
     # regression value computed at build time: one split and one merge joined
@@ -216,7 +212,7 @@ def test_closure_of_x0_and_regression():
     assert (r.split_count, r.merge_count, r.free_loops) == (1, 1, 0)
     assert annular_component_count(r) == 1
     assert r.is_reduced
-    assert r.winding_condition_holds()
+    assert winding_condition_holds(r)
 
 
 def test_x0_x1_codes_differ():
@@ -229,20 +225,20 @@ def test_x0_x1_codes_differ():
 
 def test_concatenate_respects_multiplication():
     rng = Random(51)
-    idn = strand_from_pair(identity())
-    assert concatenate(strand_from_pair(X0), strand_from_pair(invert(X0))) == idn
+    idn = square_of(identity())
+    assert concatenate(square_of(X0), square_of(invert(X0))) == idn
     for _ in range(50):
         p, q = random_element(rng, 8), random_element(rng, 8)
-        assert strand_from_pair(multiply(p, q)) == concatenate(strand_from_pair(p), strand_from_pair(q))
-        assert concatenate(strand_from_pair(p), idn) == strand_from_pair(p)
+        assert square_of(multiply(p, q)) == concatenate(square_of(p), square_of(q))
+        assert concatenate(square_of(p), idn) == square_of(p)
 
 
 def test_winding_condition_fuzz():
     rng = Random(52)
     for _ in range(100):
         g = random_element(rng, 10)
-        assert annular_of(g).winding_condition_holds()
-        assert reduced_annular_of(g).winding_condition_holds()
+        assert winding_condition_holds(annular_of(g))
+        assert winding_condition_holds(reduced_annular_of(g))
 
 
 def test_vertex_and_edge_numbering_is_pinned():
@@ -254,15 +250,36 @@ def test_vertex_and_edge_numbering_is_pinned():
         (5, 7, "out", 5, "R"), (6, 2, "L", 6, "L"), (7, 4, "L", 6, "R"),
         (8, 4, "R", 7, "L"), (9, 3, "R", 7, "R"), (10, 5, "out", 2, "in"),
     ]
+    # vertices 0 and 1 and edges 0 and 1 are never used; the closing edge
+    # is the last one and holds token 0
+    assert annular_of(identity()).to_json() == (
+        '{"schema": 1, "vertices": [], "edges": [], "cut_sequence": [{"loop": true}], '
+        '"free_loops": 1}'
+    )
+    assert annular_of(X0).to_json() == (
+        '{"schema": 1, "vertices": ['
+        '{"id": 2, "kind": "split", "edges": {"in": 7, "L": 2, "R": 6}}, '
+        '{"id": 3, "kind": "split", "edges": {"in": 2, "L": 4, "R": 5}}, '
+        '{"id": 4, "kind": "merge", "edges": {"L": 4, "R": 3, "out": 7}}, '
+        '{"id": 5, "kind": "merge", "edges": {"L": 5, "R": 6, "out": 3}}], '
+        '"edges": ['
+        '{"id": 2, "src": [2, "L"], "dst": [3, "in"], "winding": 0}, '
+        '{"id": 3, "src": [5, "out"], "dst": [4, "R"], "winding": 0}, '
+        '{"id": 4, "src": [3, "L"], "dst": [4, "L"], "winding": 0}, '
+        '{"id": 5, "src": [3, "R"], "dst": [5, "L"], "winding": 0}, '
+        '{"id": 6, "src": [2, "R"], "dst": [5, "R"], "winding": 0}, '
+        '{"id": 7, "src": [4, "out"], "dst": [2, "in"], "winding": 1}], '
+        '"cut_sequence": [{"edge": 7}], "free_loops": 0}'
+    )
 
 
 def test_winding_condition_at_depth():
     a = annular_of(make_generator(1500))
-    assert a.winding_condition_holds()
+    assert winding_condition_holds(a)
     # without its cut crossing the closing edge makes a zero-winding cycle
     net = a._net.copy()
     net.toks = [()] * len(net.toks)
-    assert not AnnularStrandDiagram(net).winding_condition_holds()
+    assert not winding_condition_holds(AnnularStrandDiagram(net))
 
 
 def test_conjugation_soundness():

@@ -19,7 +19,7 @@ from thomplink import (
     reduce_pair,
 )
 from thomplink.links import _join
-from thomplink.strand import _Cut
+from thomplink.strand import MERGE, SPLIT, _Cut, annular_of
 from thomplink.trees import BinaryTree, _subtree_end, _tree, caret, graft, random_tree, tree_from_bits
 
 
@@ -282,6 +282,115 @@ def rescan_reduced(a, rng=None):
     net.cut_order = cut.tokens()
     net.merge_parallel_loops()
     return AnnularStrandDiagram(net)
+
+
+def winding_condition_holds(a: AnnularStrandDiagram) -> bool:
+    """Every directed cycle of ``a`` winds positively, that is, the subgraph
+    of edges that never cross the cut is acyclic."""
+    net = a._net
+    # Kahn's peel: repeatedly drop a vertex with no incoming edge left
+    adj: list[list[int]] = [[] for _ in net.kind]
+    indegree = [0] * len(net.kind)
+    for eid, tail in enumerate(net.tail):
+        if tail >= 0 and not net.toks[eid]:
+            w = net.head[eid] // 3
+            adj[tail // 3].append(w)
+            indegree[w] += 1
+    ready = [v for v, k in enumerate(net.kind) if k >= 0 and indegree[v] == 0]
+    peeled = 0
+    while ready:
+        v = ready.pop()
+        peeled += 1
+        for w in adj[v]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    return peeled == len(net.kind) - net.kind.count(-1)
+
+
+# Square strand diagrams, the concatenation oracle: a planar DAG with one
+# source and one sink besides its splits and merges.  The reduction moves
+# of an annular net look for splits and merges only, so they serve here.
+SOURCE, SINK = 2, 3  # after strand.MERGE and strand.SPLIT
+_SLOT_COUNT = {MERGE: 3, SPLIT: 3, SOURCE: 1, SINK: 1}
+
+
+class SquareDiagram:
+    """A split/merge net with its source and sink vertices; equal
+    signatures mean equal diagrams."""
+
+    def __init__(self, net, source: int, sink: int):
+        self.net, self.source, self.sink = net, source, sink
+
+    def signature(self) -> tuple:
+        """The vertex entries of a breadth-first walk from the source's
+        edge: each vertex's kind and the walk numbers of its slot edges,
+        numbered when first met."""
+        net = self.net
+        start = net.att[3 * self.source]
+        edge_ix, edge_order, seen, verts = {start: 0}, [start], set(), []
+        for eid in edge_order:  # grows as vertices are reached
+            for vid in (net.head[eid] // 3, net.tail[eid] // 3):
+                if vid in seen:
+                    continue
+                seen.add(vid)
+                entry = [net.kind[vid]]
+                for nxt in net.att[3 * vid : 3 * vid + _SLOT_COUNT[net.kind[vid]]]:
+                    if nxt not in edge_ix:
+                        edge_ix[nxt] = len(edge_order)
+                        edge_order.append(nxt)
+                    entry.append(edge_ix[nxt])
+                verts.append(tuple(entry))
+        return tuple(verts)
+
+    def __eq__(self, other) -> bool:
+        return self.signature() == other.signature()
+
+
+def _set_edge(net, eid: int, tail: int, head: int) -> None:
+    net.tail[eid], net.head[eid] = tail, head
+    net.att[tail] = net.att[head] = eid
+
+
+def square_of(p: TreePair) -> SquareDiagram:
+    """The square diagram of ``p``: its annular closure with the closing
+    edge cut open into two root edges, at the vertices 0 and 1 that the
+    closure leaves unused, which become the source and the sink."""
+    net = annular_of(p)._net
+    net.kind[:2] = [SOURCE, SINK]
+    net.cut_order, net.loop_tokens = [], []
+    if p.leaf_count == 1:  # the free loop becomes one edge from source to sink
+        net.tail, net.head, net.toks = [-1], [-1], [()]
+        _set_edge(net, 0, 0, 3)
+    else:
+        close = len(net.tail) - 1
+        net.toks[close] = ()
+        _set_edge(net, 0, 0, net.head[close])
+        _set_edge(net, close, net.tail[close], 3)
+    return SquareDiagram(net, 0, 1)
+
+
+def concatenate(a: SquareDiagram, b: SquareDiagram) -> SquareDiagram:
+    """Glue the sink of ``a`` to the source of ``b`` and reduce."""
+    net = a.net.copy()
+    bn = b.net
+    offset_v = len(net.kind)
+    offset_d = 3 * offset_v
+    offset_e = len(net.tail)
+    net.kind += bn.kind
+    net.att += [eid + offset_e if eid >= 0 else -1 for eid in bn.att]
+    net.tail += [d + offset_d if d >= 0 else -1 for d in bn.tail]
+    net.head += [d + offset_d if d >= 0 else -1 for d in bn.head]
+    net.toks += [()] * len(bn.tail)
+
+    source_b = b.source + offset_v
+    ein = net.att[3 * a.sink]
+    eout = net.att[3 * source_b]
+    net._remove_vertex(a.sink)
+    net._remove_vertex(source_b)
+    net._resolve_connectors([[ein, eout, ()]])
+    net.reduce()
+    return SquareDiagram(net, a.source, b.sink + offset_v)
 
 
 def random_diagram(rng: Random, max_leaves: int = 8) -> LinkDiagram:
