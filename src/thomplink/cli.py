@@ -40,6 +40,11 @@ from .svg import direct_link_svg, tait_graph_svg, tree_pair_svg
 from .tait import tait_graph
 
 SCHEMA = 1
+# the most leaves that ``experiment thm1`` may build over all its rows; its
+# time grows with that sum (--n 1000 builds 2,003,000 leaves and took 54 s
+# on a 2-core VM with Python 3.11), so an accepted run answers in about a
+# minute
+THM1_LEAF_BUDGET = 2_200_000
 # the link builders that ``link`` and ``bracket`` choose from with --route
 _ROUTES = {"tait": lambda p: medial_link(tait_graph(p)), "direct": direct_link}
 
@@ -173,11 +178,18 @@ def _check_leaves(name: str, leaves: int) -> None:
 
 def _cmd_experiment_thm1(args) -> int:
     seed = _parse_element(args.seed) if args.seed else element_a()
-    # each wrap adds four leaves to the reduced seed
-    _check_leaves(f"h{args.n}", reduce_pair(seed).leaf_count + 4 * (args.n - 1))
+    # each wrap adds four leaves to the reduced seed, so the rows hold
+    # n * seed + 4 * (0 + 1 + ... + (n - 1)) leaves in all
+    n, seed_leaves = args.n, reduce_pair(seed).leaf_count
+    _check_leaves(f"h{n}", seed_leaves + 4 * (n - 1))
+    total = n * seed_leaves + 2 * n * (n - 1)
+    if total > THM1_LEAF_BUDGET:
+        raise DomainError(
+            f"the {n} rows would have {total} leaves in all, more than the budget {THM1_LEAF_BUDGET}"
+        )
     rows = []
     brackets = []
-    for i, h in enumerate(h_sequence(seed, args.n), 1):
+    for i, h in enumerate(h_sequence(seed, n), 1):
         rep = simplify(direct_link(h))
         br = kauffman_bracket(rep.diagram, args.max_states)
         r = reduced_annular_of(h)
@@ -199,7 +211,7 @@ def _cmd_experiment_thm1(args) -> int:
                 {
                     "schema": SCHEMA,
                     "sequence": "wrapped",
-                    "n": args.n,
+                    "n": n,
                     "seed_word": str(to_word(seed)),
                     "rows": rows,
                     "same_link": same_link,

@@ -214,21 +214,35 @@ def simplify(d: LinkDiagram) -> SimplificationReport:
     a bigon), counting components that become crossing-free as free loops.
     The move taken is a kink at the first crossing that has one, else the
     clasp whose over arc has the least lesser dart.  Candidates wait in two
-    lazy min-heaps; a move changes only the arcs it joins, so only the
-    crossings and arcs at their ends are pushed again.  The survivors keep
-    their order, each arc labelled by its lesser dart.
+    lazy min-heaps, and every move that exists is in its heap.  A move
+    exists only through its arcs, and a move changes only the arcs it joins,
+    so each new arc is checked once, as a kink or as one side of a bigon,
+    and pushed only if it is one.  A popped candidate is checked again,
+    since a later move may have removed it.  The survivors keep their
+    order, each arc labelled by its lesser dart.
     """
     partner = list(d._partner)
     alive = [True] * len(d.crossings)
+
+    def bigon(x: int, y: int) -> bool:
+        # the over arc x-y, x odd, ends at a later crossing and a parallel
+        # under arc joins x ^ 3 to y ^ 1 or x ^ 1 to y ^ 3; for odd darts
+        # x ^ 3 is the next slot and x ^ 1 the one before
+        return y & 1 and y >> 2 > x >> 2 and (partner[x ^ 3] == y ^ 1 or partner[x ^ 1] == y ^ 3)
+
     # x ^ y is 1 or 3 for darts at neighbouring slots of one crossing
     kinks = [x >> 2 for x, y in enumerate(partner) if x ^ y | 2 == 3]
-    clasps = [x for x in range(1, len(partner), 2) if partner[x] & 1 and partner[x] >> 2 > x >> 2]
+    clasps = [x for x in range(1, len(partner), 2) if partner[x] & 1 and bigon(x, partner[x])]
     removed = r1 = r2 = 0
     while kinks or clasps:
         if kinks:
             c = heappop(kinks)
-            x = next((x for x in range(4 * c, 4 * c + 4) if x ^ partner[x] | 2 == 3), None)
-            if not alive[c] or x is None:
+            if not alive[c]:
+                continue
+            for x in range(4 * c, 4 * c + 3):  # a kink at slot 3 holds slot 0 or 2
+                if partner[x] ^ x | 2 == 3:
+                    break
+            else:
                 continue
             # the arc at x returns at a neighbouring slot: join the other two
             alive[c] = False
@@ -237,24 +251,35 @@ def simplify(d: LinkDiagram) -> SimplificationReport:
         else:
             x = heappop(clasps)
             y = partner[x]
-            # the over arc x-y and an under arc u-v bound a bigon; for odd
-            # darts x ^ 3 is the next slot and x ^ 1 the one before
-            u, v = (x ^ 3, y ^ 1) if partner[x ^ 3] == y ^ 1 else (x ^ 1, y ^ 3)
-            if not (alive[x >> 2] and y & 1 and y >> 2 > x >> 2 and partner[u] == v):
+            if not (alive[x >> 2] and bigon(x, y)):
                 continue
+            u, v = (x ^ 3, y ^ 1) if partner[x ^ 3] == y ^ 1 else (x ^ 1, y ^ 3)
             alive[x >> 2] = alive[y >> 2] = False
             joins = ((x ^ 2, y ^ 2), (u ^ 2, v ^ 2))
             r2 += 1
-        changed = []
         for u, v in joins:
-            changed += (partner[u], partner[v])
-            removed += _join(partner, u, v)
-        for a in changed:  # only moves at the changed ends can be new
-            if alive[a >> 2]:
+            # join the far ends a and b of the arcs at u and v
+            a, b = partner[u], partner[v]
+            if a == v:
+                removed += 1  # u and v ended one arc, now a loop
+                continue
+            partner[a], partner[b] = b, a
+            if not (alive[a >> 2] and alive[b >> 2]):
+                continue  # the clasp's second join extends this arc
+            if a ^ b | 2 == 3:
                 heappush(kinks, a >> 2)
-                for b in (a, a ^ 1, a ^ 3):
-                    if b & partner[b] & 1:
-                        heappush(clasps, min(b, partner[b]))
+            elif a & b & 1:  # an over arc
+                if a > b:
+                    a, b = b, a
+                if bigon(a, b):
+                    heappush(clasps, a)
+            elif not (a | b) & 1:  # an under arc: a bigon's over arc ends next to a
+                for x in (a ^ 1, a ^ 3):
+                    y = partner[x]
+                    if x > y:
+                        x, y = y, x
+                    if x & 1 and bigon(x, y):
+                        heappush(clasps, x)
     crossings = [
         [x if x < partner[x] else partner[x] for x in range(4 * c, 4 * c + 4)]
         for c in compress(range(len(alive)), alive)

@@ -227,10 +227,13 @@ class _Net:
         )
 
     def bigon_moves(self) -> list[int]:
-        return [vid for vid in range(len(self.kind)) if self._is_bigon(vid)]
+        return [vid for vid, k in enumerate(self.kind) if k == SPLIT and self._is_bigon(vid)]
 
     def pass_moves(self) -> list[int]:
-        return [eid for eid in range(len(self.tail)) if self._is_pass(eid)]
+        kind = self.kind
+        return [
+            eid for eid, t in enumerate(self.tail) if t >= 0 and kind[t // 3] == MERGE and self._is_pass(eid)
+        ]
 
     def apply_bigon(self, split_vid: int, cut: _Cut) -> list[int]:
         att = self.att
@@ -288,26 +291,33 @@ class _Net:
         """Apply the smallest type I move, else the smallest type II, until
         none fits.
 
-        The two lists are lazy min-heaps: a move changes only the edges it
-        splices, so those edges and their source vertices are pushed as
-        candidates and stale entries are dropped when they reach the top.
+        The two lists are lazy min-heaps, and every move that exists is in
+        its heap.  A move changes only the edges it splices, and only those
+        edges and their source vertices can hold a new move, so each is
+        pushed if it holds one.  The top is checked again before a move is
+        taken, since a later move may have removed it.
         """
         cut = _Cut(self.cut_order)
+        kind, tail, is_bigon, is_pass = self.kind, self.tail, self._is_bigon, self._is_pass
         bigons, passes = self.bigon_moves(), self.pass_moves()
-        while True:
-            while bigons and not self._is_bigon(bigons[0]):
-                heappop(bigons)
-            while passes and not self._is_pass(passes[0]):
-                heappop(passes)
+        while bigons or passes:
             if bigons:
-                spliced = self.apply_bigon(bigons[0], cut)
-            elif passes:
-                spliced = self.apply_pass(passes[0], cut)
+                vid = heappop(bigons)
+                if not is_bigon(vid):
+                    continue
+                spliced = self.apply_bigon(vid, cut)
             else:
-                break
-            for eid in spliced:
-                heappush(passes, eid)
-                heappush(bigons, self.tail[eid] // 3)
+                eid = heappop(passes)
+                if not is_pass(eid):
+                    continue
+                spliced = self.apply_pass(eid, cut)
+            for eid in spliced:  # the tail of a pass is a merge, of a bigon a split
+                vid = tail[eid] // 3
+                if kind[vid] == MERGE:
+                    if is_pass(eid):
+                        heappush(passes, eid)
+                elif is_bigon(vid):
+                    heappush(bigons, vid)
         self.cut_order = cut.tokens()
 
     # -- embedding: faces and radial nesting --------------------------------

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 import thomplink
+from thomplink import cli
 from thomplink.cli import main
 from thomplink.conway import MAX_CODE_CROSSINGS
 from thomplink.pairs import TreePair, reduce_pair
@@ -141,6 +142,25 @@ def test_bad_input_fails_without_traceback(argv, status):
     proc = run_child(argv, text=True)
     assert proc.returncode == status
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_thm1_refuses_by_total_leaves():
+    # x0^-2 has 4 leaves and its 24,999th wrap 99,996, inside the word
+    # bound, but the rows would build 4n + 2n(n - 1) leaves in all
+    n = 24999
+    argv = ["experiment", "thm1", "--n", str(n), "--seed", "x0^-2"]
+    proc = run_child(argv, text=True, timeout=30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert f"{4 * n + 2 * n * (n - 1)} leaves" in proc.stderr
+    assert str(cli.THM1_LEAF_BUDGET) in proc.stderr
+
+
+def test_thm1_budget_is_the_leaf_sum(capsys, monkeypatch):
+    # element a has 5 leaves, so --n 3 builds 5 + 9 + 13 = 27 leaves
+    monkeypatch.setattr(cli, "THM1_LEAF_BUDGET", 27)
+    assert run(capsys, "experiment", "thm1", "--n", "3")[0] == 0
+    code, out, err = run(capsys, "experiment", "thm1", "--n", "4")
+    assert code == 1 and out == "" and "44 leaves" in err
 
 
 @pytest.mark.parametrize(

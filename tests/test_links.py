@@ -1,4 +1,6 @@
 import hashlib
+import sys
+from heapq import heappop, heappush
 from random import Random
 
 import pytest
@@ -26,6 +28,7 @@ from thomplink import (
     simplify,
     tait_graph,
 )
+from thomplink import links
 from thomplink.tait import TaitGraph
 from util import (
     X0,
@@ -319,3 +322,51 @@ def test_simplify_at_1920_crossings():
     rep = simplify(d)
     assert rep.diagram.crossing_count == 0
     assert component_count(rep.diagram) == component_count(d)
+
+
+def _slot(x: int, step: int) -> int:
+    """The dart ``step`` slots counterclockwise from x at its crossing."""
+    return x - x % 4 + (x + step) % 4
+
+
+def test_simplify_queues_only_live_moves(monkeypatch):
+    # every candidate is a move of the diagram as it stands when it is
+    # pushed, read from the caller's arc-end index in slot terms: a kink is
+    # an arc between neighbouring slots, a clasp an over arc from a lesser
+    # crossing whose neighbouring under slots are joined by a parallel arc
+    pushes = []
+
+    def checked_push(heap, item):
+        state = sys._getframe(1).f_locals
+        partner, alive = state["partner"], state["alive"]
+        if heap is state["kinks"]:
+            assert alive[item]
+            assert any(partner[x] in (_slot(x, 1), _slot(x, 3)) for x in range(4 * item, 4 * item + 4))
+        else:
+            x, y = item, partner[item]
+            assert heap is state["clasps"] and alive[x // 4]
+            assert x % 2 == y % 2 == 1 and x // 4 < y // 4
+            assert partner[_slot(x, 1)] == _slot(y, 3) or partner[_slot(x, 3)] == _slot(y, 1)
+        pushes.append(item)
+        heappush(heap, item)
+
+    monkeypatch.setattr(links, "heappush", checked_push)
+    for d in simplify_corpus():
+        simplify(d)
+    assert pushes
+
+
+def test_simplify_pops_at_1920_crossings(monkeypatch):
+    # no candidate is dead when pushed, so few pops are stale: at most 1.25
+    # a move
+    pops = []
+
+    def counted_pop(heap):
+        pops.append(1)
+        return heappop(heap)
+
+    monkeypatch.setattr(links, "heappop", counted_pop)
+    rep = simplify(direct_link(h_sequence(element_a(), 240)[-1]))
+    moves = rep.r1_moves + rep.r2_moves
+    assert moves == 1440
+    assert len(pops) <= 1.25 * moves

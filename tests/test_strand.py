@@ -1,6 +1,8 @@
 import hashlib
 import json
+import sys
 from functools import cmp_to_key
+from heapq import heappop, heappush
 from random import Random
 
 from thomplink import (
@@ -515,6 +517,52 @@ def test_type_three_drops_loops_after_loops():
         merged += bool(want)
         kept += not want
     assert merged >= 100 and kept >= 100
+
+
+def test_reduction_queues_only_live_moves(monkeypatch):
+    # every candidate is a move of the net as it stands when it is pushed
+    pushes = []
+
+    def checked_push(heap, item):
+        state = sys._getframe(1).f_locals
+        net = state["self"]
+        if heap is state["bigons"]:
+            assert item in net.bigon_moves()
+        else:
+            assert heap is state["passes"] and item in net.pass_moves()
+        pushes.append(item)
+        heappush(heap, item)
+
+    monkeypatch.setattr(strand, "heappush", checked_push)
+    rng = Random(64)
+    for _ in range(200):
+        reduce_annular(annular_of(random_element(rng, 60)))
+    assert pushes
+
+
+def test_reduction_pops_at_1920_crossings(monkeypatch):
+    # the closure of the element whose link has 1,920 crossings: no
+    # candidate is dead when pushed, so each move is popped once and little
+    # else is
+    pops, moves = [], []
+
+    def counted_pop(heap):
+        pops.append(1)
+        return heappop(heap)
+
+    def counted(apply):
+        def wrapped(net, key, cut):
+            moves.append(key)
+            return apply(net, key, cut)
+
+        return wrapped
+
+    monkeypatch.setattr(strand, "heappop", counted_pop)
+    monkeypatch.setattr(strand._Net, "apply_bigon", counted(strand._Net.apply_bigon))
+    monkeypatch.setattr(strand._Net, "apply_pass", counted(strand._Net.apply_pass))
+    reduced_annular_of(h_sequence(element_a(), 240)[-1])
+    assert len(moves) == 720
+    assert len(pops) <= len(moves) + 1
 
 
 def test_conjugacy_at_600_leaves():
