@@ -5,21 +5,22 @@ The bracket is characterized by
     <U> = 1,   <L_X> = A <L_0> + A^-1 <L_oo>,   <L u U> = (-A^2 - A^-2) <L>.
 
 Crossings are added one at a time, the next being the one with the most
-arcs already open, the earliest on ties.  Each crossing's count of open
-arcs is kept up to date as arcs open, and the next crossing comes from
-five lazy min-heaps, one per count 0-4, so a step does not rescan the
-crossings still to be added.  After each step the smoothed part of the
-diagram is a set of closed loops plus strands joining pairs of open arc
-ends, so a state is that matching of open arcs.  Each state carries the
-sum, over the smoothings that reach it, of A^(A-smoothings -
-B-smoothings) times delta per closed loop, an integer Laurent polynomial
-held as a plain {exponent: coefficient} dict: a smoothing adds shifted
-copies of its state's dict into the dict of the state it reaches, one per
-term of A^(+-1) delta^k (k <= 2), and a ``LaurentPolynomial`` is built
-once, at the end.  States with equal matchings merge, which is what keeps
-the cost polynomial for diagrams of bounded width (Bar-Natan's local
-contraction, applied to the bracket); the work of a step still grows with
-the length of its states' polynomials.
+arcs already open, the earliest on ties: each crossing's count of open arcs
+is kept up to date as arcs open, and one lazy min-heap keyed by count and
+index gives the next crossing without a rescan.  Every strand end is named
+by its dart in the diagram's arc-end index, an open arc by its end still to
+be added.  After each step the smoothed part of the diagram is a set of
+closed loops plus strands joining pairs of open arc ends, so a state is
+that matching of open arcs.  Each state carries the sum, over the
+smoothings that reach it, of A^(A-smoothings - B-smoothings) times delta
+per closed loop, an integer Laurent polynomial held as a plain
+{exponent: coefficient} dict: a smoothing adds shifted copies of its
+state's dict into the dict of the state it reaches, one per term of
+A^(+-1) delta^k (k <= 2), and a ``LaurentPolynomial`` is built once, at
+the end.  States with equal matchings merge, which is what keeps the cost
+polynomial for diagrams of bounded width (Bar-Natan's local contraction,
+applied to the bracket); the work of a step still grows with the length of
+its states' polynomials.
 
 Bracket values of diagrams of one link differ by units -A^(+-3) (framing)
 and whole factors delta per split trivial component, so link comparison
@@ -68,47 +69,41 @@ def kauffman_bracket(
     partner = d._partner
     n = d.crossing_count
     # opened[c]: slots of crossing c whose arc is open.  It only grows while
-    # c waits, so buckets[k], a min-heap of the crossings that have reached
-    # k, holds c lazily: an entry whose count has moved on is skipped.
+    # c waits, so the min-heap keyed (4 - opened[c]) * n + c holds c lazily:
+    # an entry whose count has moved on is skipped.
     opened = [0] * n
-    buckets: list[list[int]] = [list(range(n)), [], [], [], []]
-    # An open arc is named by the dart at its end still to be added.
-    open_arcs: set[int] = set()
+    added = [False] * n
+    heap = list(range(4 * n, 5 * n))
+    # An open arc is named by its dart at the crossing still to be added.
     frontier: list[int] = []
     # matching of the frontier arcs (a tuple aligned with it) -> its sum,
     # as {exponent: coefficient}; the free loops are factors from the start
     states: dict[tuple[int, ...], dict[int, int]] = {(): dict((DELTA**d.free_loops).coeffs)}
     for step in range(n):
         # next: the crossing with the most open arcs, the earliest on ties
-        for k in (4, 3, 2, 1, 0):
-            heap = buckets[k]
-            while heap and opened[heap[0]] != k:
-                heappop(heap)
-            if heap:
-                ci = heappop(heap)
+        while True:
+            k, ci = divmod(heappop(heap), n)
+            if k + opened[ci] == 4:
                 break
-        # Name the strand end at each slot: an open arc keeps its name;
-        # otherwise slot i is named ~i and linked either to the slot at the
-        # other end of its arc (a kink) or to the arc, which opens here.
-        names = list(range(4 * ci, 4 * ci + 4))
+        # Slot s is named by its dart first + s.  An open arc's end already
+        # has that name; any other end is linked to the far end of its arc,
+        # which opens here unless it is another slot of ci (a kink).
+        first = 4 * ci
         links: dict[int, int] = {}
         new_arcs = []
-        for i, dart in enumerate(names):
-            if dart in open_arcs:
-                open_arcs.remove(dart)
-                continue
-            names[i] = ~i
+        for dart in range(first, first + 4):
             far = partner[dart]
             other = far >> 2
-            if other == ci:
-                links[~i] = ~(far & 3)
-            else:
-                links[~i], links[far] = far, ~i
-                open_arcs.add(far)
+            if added[other]:
+                continue
+            links[dart] = far
+            if other != ci:
+                links[far] = dart
                 new_arcs.append(far)
                 opened[other] += 1
-                heappush(buckets[opened[other]], other)
-        new_frontier = [a for a in frontier if a in open_arcs] + new_arcs
+                heappush(heap, (4 - opened[other]) * n + other)
+        added[ci] = True
+        new_frontier = [a for a in frontier if a >> 2 != ci] + new_arcs
         # The last crossing closes at least one loop in every state; leaving
         # that loop out of the factor gives the normalization <U> = 1.
         last = step == n - 1
@@ -119,8 +114,8 @@ def kauffman_bracket(
             frontier_ends.update(links)
             for terms, ((s, t), (u, v)) in _SMOOTHINGS:
                 ends = frontier_ends.copy()
-                closed = _join(ends, names[s], names[t])
-                closed += _join(ends, names[u], names[v])
+                closed = _join(ends, first + s, first + t)
+                closed += _join(ends, first + u, first + v)
                 out = tuple(map(ends.__getitem__, new_frontier))
                 target = new_states.get(out)
                 if target is None:

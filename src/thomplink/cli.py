@@ -45,6 +45,11 @@ SCHEMA = 1
 # on a 2-core VM with Python 3.11), so an accepted run answers in about a
 # minute
 THM1_LEAF_BUDGET = 2_200_000
+# the largest n that ``experiment thm2`` accepts; its rows are fixed
+# families of at most 2n + 3 leaves, far below MAX_WORD_LEAVES, and each
+# computes brackets of O(n) crossings, so the run is cubic in n (--n 250
+# took 54 s for either generator on a 2-core VM with Python 3.11)
+THM2_MAX_N = 250
 # the link builders that ``link`` and ``bracket`` choose from with --route
 _ROUTES = {"tait": lambda p: medial_link(tait_graph(p)), "direct": direct_link}
 
@@ -171,17 +176,14 @@ def _cmd_conjugate(args) -> int:
     return 0
 
 
-def _check_leaves(name: str, leaves: int) -> None:
-    if leaves > MAX_WORD_LEAVES:
-        raise DomainError(f"{name} would have {leaves} leaves, more than the bound {MAX_WORD_LEAVES}")
-
-
 def _cmd_experiment_thm1(args) -> int:
     seed = _parse_element(args.seed) if args.seed else element_a()
     # each wrap adds four leaves to the reduced seed, so the rows hold
     # n * seed + 4 * (0 + 1 + ... + (n - 1)) leaves in all
     n, seed_leaves = args.n, reduce_pair(seed).leaf_count
-    _check_leaves(f"h{n}", seed_leaves + 4 * (n - 1))
+    last = seed_leaves + 4 * (n - 1)
+    if last > MAX_WORD_LEAVES:
+        raise DomainError(f"h{n} would have {last} leaves, more than the bound {MAX_WORD_LEAVES}")
     total = n * seed_leaves + 2 * n * (n - 1)
     if total > THM1_LEAF_BUDGET:
         raise DomainError(
@@ -231,9 +233,9 @@ def _cmd_experiment_thm1(args) -> int:
 
 
 def _cmd_experiment_thm2(args) -> int:
+    if args.n > THM2_MAX_N:
+        raise DomainError(f"--n {args.n} is more than the bound {THM2_MAX_N} on thm2 rows")
     gen_index = 0 if args.gen == "x0" else 1
-    # g_element(n) has the 2n + 2 leaves of T_n, and h_element(n) one more
-    _check_leaves(f"{'gh'[gen_index]}_element({args.n})", 2 * args.n + 2 + gen_index)
     x = make_generator(gen_index)
     rows = []
     for n in range(1, args.n + 1):

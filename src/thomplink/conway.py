@@ -16,8 +16,6 @@ conjugate-generator links.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .links import LinkDiagram
 
 __all__ = ["MAX_CODE_CROSSINGS", "ConwayCode", "continued_fraction", "two_bridge_diagram"]
@@ -68,12 +66,13 @@ class ConwayCode:
 
 
 def continued_fraction(code: ConwayCode) -> tuple[int, int]:
-    """Value of c_1 + 1/(c_2 + 1/(...)) as a reduced fraction (p, q)."""
+    """Value of c_1 + 1/(c_2 + 1/(...)) as a reduced fraction (p, q): each
+    step keeps gcd(p, q), since gcd(c*p + q, p) = gcd(q, p), and it starts
+    at gcd(c_k, 1) = 1."""
     p, q = code.entries[-1], 1
     for c in reversed(code.entries[:-1]):
         p, q = c * p + q, p
-    g = gcd(p, q)
-    return p // g, q // g
+    return p, q
 
 
 def _odd_normalized(entries: tuple[int, ...]) -> list[int]:

@@ -274,11 +274,14 @@ class _Net:
 
     def parallel_loops(self) -> set[int]:
         """The tokens of the free loops that type III drops: each one whose
-        radial predecessor is a free loop too."""
+        radial predecessor is a free loop too.  A free loop separates the
+        annulus, so no component has cut crossings on both sides of it, and
+        the radial predecessor of a loop is a loop exactly when its
+        predecessor on the cut is."""
         if len(self.loop_tokens) < 2:
             return set()
-        items = self.radial_items()
-        return {b[0] for a, b in zip(items, items[1:]) if len(a) == len(b) == 1}
+        owners = self.cut_owners()
+        return {t for t, a, b in zip(self.cut_order[1:], owners, owners[1:]) if a < 0 and b < 0}
 
     def merge_parallel_loops(self) -> None:
         """Type III: collapse runs of radially adjacent free loops."""

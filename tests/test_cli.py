@@ -135,7 +135,7 @@ def test_domain_errors_exit_1(capsys):
         (["experiment", "thm1", "--n", "99999999999999999999"], 1),
         (["experiment", "thm1", "--n", "25000"], 1),  # 5 + 4 * 24999 leaves
         (["experiment", "thm2", "--gen", "x0", "--n", "99999999999999999999"], 1),
-        (["experiment", "thm2", "--gen", "x1", "--n", "49999"], 1),  # 2 * 49999 + 3 leaves
+        (["experiment", "thm2", "--gen", "x1", "--n", "49999"], 1),  # past THM2_MAX_N
     ],
 )
 def test_bad_input_fails_without_traceback(argv, status):
@@ -161,6 +161,20 @@ def test_thm1_budget_is_the_leaf_sum(capsys, monkeypatch):
     assert run(capsys, "experiment", "thm1", "--n", "3")[0] == 0
     code, out, err = run(capsys, "experiment", "thm1", "--n", "4")
     assert code == 1 and out == "" and "44 leaves" in err
+
+
+def test_thm2_refuses_past_its_bound():
+    # every row is a fixed family, so the run's work depends on n alone
+    proc = run_child(["experiment", "thm2", "--gen", "x0", "--n", "49999"], text=True, timeout=30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert str(cli.THM2_MAX_N) in proc.stderr
+
+
+def test_thm2_bound_is_on_n(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "THM2_MAX_N", 3)
+    assert run(capsys, "experiment", "thm2", "--gen", "x1", "--n", "3")[0] == 0
+    code, out, err = run(capsys, "experiment", "thm2", "--gen", "x1", "--n", "4")
+    assert code == 1 and out == "" and "bound 3" in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,7 @@
+from fractions import Fraction
+from math import gcd
+from random import Random
+
 import pytest
 
 from thomplink import (
@@ -39,6 +43,19 @@ def test_continued_fraction_values():
     assert continued_fraction(ConwayCode([1, 1, 1, 1, 1, 1])) == (13, 8)
     assert continued_fraction(ConwayCode([3])) == (3, 1)
     assert continued_fraction(ConwayCode([2, 3])) == (7, 3)
+
+
+def test_continued_fraction_is_reduced_fuzz():
+    # p/q comes out in lowest terms without a gcd, and equals the continued
+    # fraction evaluated in exact rationals
+    rng = Random(19)
+    for _ in range(500):
+        entries = [rng.randint(1, 9) for _ in range(rng.randint(1, 12))]
+        p, q = continued_fraction(ConwayCode(entries))
+        value = Fraction(entries[-1])
+        for c in reversed(entries[:-1]):
+            value = c + 1 / value
+        assert gcd(p, q) == 1 and Fraction(p, q) == value, entries
 
 
 def test_all_ones_gives_fibonacci():
