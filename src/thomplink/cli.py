@@ -115,12 +115,11 @@ def _cmd_element(args) -> int:
 
 
 def _link_payload(d: LinkDiagram) -> dict:
-    rel = d.relabeled()
     return {
         "schema": SCHEMA,
-        "crossings": [list(c) for c in rel.crossings],
-        "free_loops": rel.free_loops,
-        "components": component_count(rel),
+        "crossings": [list(c) for c in d.crossings],
+        "free_loops": d.free_loops,
+        "components": component_count(d),
     }
 
 

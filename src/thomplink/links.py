@@ -1,9 +1,11 @@
-"""Unoriented link diagrams from tree pairs, by two equivalent routes.
+"""Unoriented link diagrams from tree pairs, by two constructions of one
+PD code.
 
-Diagrams are stored as planar-diagram (PD) codes: each crossing is a
-4-tuple of arc labels listed counterclockwise starting from an end of the
-understrand, so slots 0 and 2 carry the understrand and slots 1 and 3 the
-overstrand.  ``free_loops`` counts crossing-free circle components.
+A diagram is its arc-end index: slot s of crossing c is the dart 4c + s,
+counterclockwise from an end of the understrand (slots 0 and 2 carry the
+understrand, 1 and 3 the overstrand), and ``partner[d]`` is the dart at
+the other end of d's arc; ``free_loops`` counts crossing-free circles.
+The builders write the index; PD codes are only read in and printed.
 
 ``medial_link`` replaces every signed arc of a Tait graph by a crossing:
 on a positive arc the strand running at +45 degrees to the arc passes
@@ -12,9 +14,8 @@ closure of the tree diagram itself: one connecting edge through each leaf
 gap plus one around the outside joining the two roots, after which every
 internal tree node is 4-valent and becomes a crossing whose overstrand is
 the pair of child edges.  Its darts come from :func:`trees.tree_darts`,
-the bitstring walk that ``strand.annular_of`` builds on.  Both
-routes produce one crossing per internal tree node, ``2 * (leaves - 1)``
-in total, and the same link.
+the bitstring walk that ``strand.annular_of`` builds on.  Both routes
+give one crossing per internal tree node, ``2 * (leaves - 1)`` in all.
 """
 
 from __future__ import annotations
@@ -40,47 +41,51 @@ __all__ = [
 
 
 class LinkDiagram:
-    """PD code plus a count of crossing-free loop components."""
+    """Arc-end index plus a count of crossing-free loops.  The constructor
+    parses and validates a PD code: 4-tuples of arc labels, two ends each."""
 
-    __slots__ = ("crossings", "free_loops", "_partner")
+    __slots__ = ("_partner", "free_loops")
 
     def __init__(self, crossings, free_loops: int = 0):
-        self.crossings = tuple(tuple(c) for c in crossings)
-        self.free_loops = free_loops
-        for c in self.crossings:
+        crossings = tuple(tuple(c) for c in crossings)
+        for c in crossings:
             if len(c) != 4:
                 raise ValueError(f"crossing {c!r} is not a 4-tuple")
-        self._partner = _darts(self.crossings)
+        self._partner = _darts(crossings)
         if free_loops < 0:
             raise ValueError("free loop count cannot be negative")
+        self.free_loops = free_loops
+
+    @classmethod
+    def _of(cls, partner: list[int], free_loops: int) -> "LinkDiagram":
+        d = object.__new__(cls)  # the index a builder wrote, unchecked
+        d._partner, d.free_loops = partner, free_loops
+        return d
 
     @property
     def crossing_count(self) -> int:
-        return len(self.crossings)
+        return len(self._partner) >> 2
 
-    def relabeled(self) -> "LinkDiagram":
-        """Arc labels renumbered 0.. by first appearance, for stable output."""
-        table: dict[object, int] = {}
-        out = []
-        for c in self.crossings:
-            out.append(tuple(table.setdefault(a, len(table)) for a in c))
-        return LinkDiagram(out, self.free_loops)
+    @property
+    def crossings(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The PD code, arcs numbered 0.. by first appearance."""
+        arcs: dict[int, int] = {}  # an arc's lesser dart -> its number
+        labels = [arcs.setdefault(min(d, e), len(arcs)) for d, e in enumerate(self._partner)]
+        return tuple(zip(*[iter(labels)] * 4))  # 4 labels a crossing
 
     def pd_text(self) -> str:
-        d = self.relabeled()
-        lines = [f"X({a},{b},{c},{e})" for a, b, c, e in d.crossings]
-        lines.append(f"O {d.free_loops}")
+        lines = [f"X({a},{b},{c},{e})" for a, b, c, e in self.crossings]
+        lines.append(f"O {self.free_loops}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"LinkDiagram(crossings={len(self.crossings)}, free_loops={self.free_loops})"
+        return f"LinkDiagram(crossings={self.crossing_count}, free_loops={self.free_loops})"
 
 
 def _darts(crossings) -> list[int]:
-    """The arc-end index of a PD code, which validation builds and keeps:
-    slot s of crossing c is dart 4c + s (so d ^ 2 is the opposite slot, and
-    d ^ 1 and d ^ 3 its neighbours), and ``partner[d]`` is the dart at the
-    other end of d's arc."""
+    """The arc-end index of a PD code: slot s of crossing c is dart 4c + s
+    (so d ^ 2 is the opposite slot, and d ^ 1 and d ^ 3 its neighbours),
+    and ``partner[d]`` is the dart at the other end of d's arc."""
     labels = [a for c in crossings for a in c]
     partner = [-1] * len(labels)
     first: dict[object, int] = {}
@@ -152,15 +157,13 @@ def medial_link(t: TaitGraph) -> LinkDiagram:
             rotations[v].append(d)
     # Corner strands: between cyclically consecutive ends d, e the medial
     # strand joins the ccw port of d to the cw port of e, the slot after e.
-    labels = [0] * (4 * (k + len(t.lower)))
-    arc = free_loops = 0
+    # A vertex with no ends is a free loop.
+    partner = [0] * (4 * (k + len(t.lower)))
     for rot in rotations:
-        if not rot:
-            free_loops += 1
         for d, e in zip(rot, rot[1:] + rot[:1]):
-            labels[d] = labels[e + 1 if e & 3 < 3 else e - 3] = arc
-            arc += 1
-    return LinkDiagram(zip(*[iter(labels)] * 4), free_loops)  # 4 labels a crossing
+            e += 1 if e & 3 < 3 else -3
+            partner[d], partner[e] = e, d
+    return LinkDiagram._of(partner, rotations.count([]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,7 @@ def direct_link(p: TreePair) -> LinkDiagram:
     """Closure of the tree diagram with child edges as overstrands."""
     n = p.leaf_count
     if n == 1:
-        return LinkDiagram((), free_loops=1)
+        return LinkDiagram._of([], 1)
     # crossings: the source tree's nodes in preorder, then the target's.
     # Counterclockwise from slot 0 a source node holds (parent edge, left
     # child, gap edge, right child) and a target node (parent edge, right
@@ -186,10 +189,10 @@ def direct_link(p: TreePair) -> LinkDiagram:
     # closure edge around the outside joining the two roots
     tails = [*up_leaves, *range(4, lo, 4), *range(lo + 4, 2 * lo, 4), *(d ^ 1 for d in up_gaps), 0]
     heads = [*lo_leaves, *up_nodes, *lo_nodes, *(d ^ 3 for d in lo_gaps), lo]
-    labels = [0] * (2 * lo)
-    for arc, (a, b) in enumerate(zip(tails, heads)):
-        labels[a] = labels[b] = arc
-    return LinkDiagram(zip(*[iter(labels)] * 4), free_loops=0)  # 4 labels a crossing
+    partner = [0] * (2 * lo)
+    for a, b in zip(tails, heads):
+        partner[a], partner[b] = b, a
+    return LinkDiagram._of(partner, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +222,10 @@ def simplify(d: LinkDiagram) -> SimplificationReport:
     so each new arc is checked once, as a kink or as one side of a bigon,
     and pushed only if it is one.  A popped candidate is checked again,
     since a later move may have removed it.  The survivors keep their
-    order, each arc labelled by its lesser dart.
+    order, and their darts are renumbered.
     """
     partner = list(d._partner)
-    alive = [True] * len(d.crossings)
+    alive = [True] * d.crossing_count
 
     def bigon(x: int, y: int) -> bool:
         # the over arc x-y, x odd, ends at a later crossing and a parallel
@@ -280,11 +283,10 @@ def simplify(d: LinkDiagram) -> SimplificationReport:
                         x, y = y, x
                     if x & 1 and bigon(x, y):
                         heappush(clasps, x)
-    crossings = [
-        [x if x < partner[x] else partner[x] for x in range(4 * c, 4 * c + 4)]
-        for c in compress(range(len(alive)), alive)
-    ]
-    return SimplificationReport(LinkDiagram(crossings, d.free_loops + removed), removed, r1, r2)
+    kept = [x for c in compress(range(len(alive)), alive) for x in range(4 * c, 4 * c + 4)]
+    new = {x: i for i, x in enumerate(kept)}
+    out = LinkDiagram._of([new[partner[x]] for x in kept], d.free_loops + removed)
+    return SimplificationReport(out, removed, r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +300,6 @@ def mirror_diagram(d: LinkDiagram) -> LinkDiagram:
 
 
 def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
-    d1r = d1.relabeled()
-    shift = 2 * d1r.crossing_count  # arcs of d1r, numbered from 0
-    moved = [tuple(a + shift for a in c) for c in d2.relabeled().crossings]
-    return LinkDiagram(list(d1r.crossings) + moved, d1.free_loops + d2.free_loops)
+    shift = len(d1._partner)
+    partner = d1._partner + [x + shift for x in d2._partner]
+    return LinkDiagram._of(partner, d1.free_loops + d2.free_loops)

@@ -680,8 +680,8 @@ def _reduced(net: _Net) -> AnnularStrandDiagram:
 
 
 def reduce_annular(a: AnnularStrandDiagram) -> AnnularStrandDiagram:
-    """Apply reductions until none fits; the result does not depend on the
-    order (asserted empirically by the order-fuzzing suite)."""
+    """Apply reductions until none fits; the code of the result, though not
+    its vertex and edge ids, is independent of the move order (fuzz-tested)."""
     return _reduced(a._net.copy())
 
 

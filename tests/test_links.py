@@ -158,6 +158,20 @@ def test_medial_link_matches_reference_builder():
     assert loops and parallel  # the corpus has isolated vertices and parallel arcs
 
 
+def test_routes_build_one_pd_code():
+    # the medial diagram of the Tait graph and the closure of the tree
+    # diagram are two constructions of one PD code, crossing for crossing
+    rng = Random(1)
+    pairs = [random_element(rng, 30) for _ in range(1000)]
+    rng = Random(7)
+    for k in range(1000):
+        leaves = rng.randint(1, 60)
+        pairs.append(unreduced_pair(rng, leaves) if k % 2 else random_element(rng, leaves))
+    for p in pairs:
+        d, m = direct_link(p), medial_link(tait_graph(p))
+        assert (d.crossings, d.free_loops) == (m.crossings, m.free_loops), p
+
+
 def test_expansion_adds_only_trivial_components():
     rng = Random(33)
     for _ in range(20):
@@ -196,12 +210,9 @@ def test_component_trace_on_two_bridge():
 def test_crossing_numbering_is_pinned():
     # crossings follow the tree nodes in preorder, source tree first
     p = from_word("x1 x0^-1")
-    assert direct_link(p).crossings == (
-        (11, 0, 8, 4), (4, 5, 10, 3), (5, 1, 9, 2), (11, 7, 9, 6), (6, 1, 8, 0), (7, 3, 10, 2),
-    )
-    assert medial_link(tait_graph(p)).crossings == (
-        (0, 2, 5, 4), (4, 3, 10, 11), (3, 6, 7, 9), (0, 8, 7, 1), (1, 6, 5, 2), (8, 11, 10, 9),
-    )
+    pinned = ((0, 1, 2, 3), (3, 4, 5, 6), (4, 7, 8, 9), (0, 10, 8, 11), (11, 7, 2, 1), (10, 6, 5, 9))
+    assert direct_link(p).crossings == pinned
+    assert medial_link(tait_graph(p)).crossings == pinned
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +281,7 @@ def rescan_simplify(d: LinkDiagram) -> SimplificationReport:
 
 
 def _outcome(rep: SimplificationReport):
-    return rep.diagram.relabeled().crossings, rep.diagram.free_loops, rep.removed_unknots, rep.r1_moves, rep.r2_moves
+    return rep.diagram.crossings, rep.diagram.free_loops, rep.removed_unknots, rep.r1_moves, rep.r2_moves
 
 
 def simplify_corpus():
@@ -299,6 +310,32 @@ def simplify_corpus():
 def test_simplify_matches_rescan_oracle():
     for d in simplify_corpus():
         assert _outcome(simplify(d)) == _outcome(rescan_simplify(d)), d
+
+
+def assert_valid_index(d: LinkDiagram):
+    # an involution with no fixed point on the darts, which the PD parser
+    # rebuilds from the printed code
+    partner = d._partner
+    assert sorted(partner) == list(range(4 * d.crossing_count))
+    assert all(partner[y] == x != y for x, y in enumerate(partner))
+    assert LinkDiagram(d.crossings, d.free_loops)._partner == partner
+
+
+def test_builders_write_valid_indices():
+    # the builders write the arc-end index without going through the parser
+    rng = Random(37)
+    for k in range(300):
+        leaves = rng.randint(1, 40)
+        p = unreduced_pair(rng, leaves) if k % 2 else random_element(rng, leaves)
+        assert_valid_index(direct_link(p))
+        assert_valid_index(medial_link(tait_graph(p)))
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        assert_valid_index(medial_link(TaitGraph(n, random_arcs(rng, n), random_arcs(rng, n))))
+    for d in simplify_corpus():
+        s = simplify(d).diagram
+        for e in (d, s, mirror_diagram(d), disjoint_union(s, d)):
+            assert_valid_index(e)
 
 
 def test_simplify_is_pinned():

@@ -146,7 +146,7 @@ def unreduced_pair(rng: Random, leaves: int) -> TreePair:
 def with_kink(rng: Random, d: LinkDiagram) -> LinkDiagram:
     """Cut one arc of ``d`` and join the cut through a new crossing that
     holds a fresh arc at two of its slots."""
-    crossings = [list(c) for c in d.relabeled().crossings]
+    crossings = [list(c) for c in d.crossings]
     top = max(max(c) for c in crossings)
     cut, loop = top + 1, top + 2
     c = rng.choice(crossings)
@@ -408,7 +408,7 @@ def rescan_bracket(d: LinkDiagram) -> tuple[LaurentPolynomial, int]:
     most states held after any step."""
     if d.crossing_count == 0:
         return DELTA ** (d.free_loops - 1), 0
-    crossings = d.relabeled().crossings
+    crossings = d.crossings
     remaining = list(range(len(crossings)))
     open_arcs: set[int] = set()
     frontier: tuple[int, ...] = ()
