@@ -29,13 +29,16 @@ chain that closes on itself becomes a free loop with exactly one token.
 The canonical code quotients exactly the remaining freedom, rotation of
 the annulus: per connected component it minimizes, over starting edges, a
 traversal signature of the typed digraph together with spanning-tree
-gauge-reduced windings and the identities of the two marked faces (the
-face containing the hole and the outer face, recovered from the rotation
-system that the vertex types force: split ccw = (in, L, R), merge ccw =
-(out, R, L)).  Components and free loops are listed in their radial
-nesting order, which is part of the isotopy class.  Every item winds
-around the hole, so an inner item separates an outer one from the hole:
-the order is that of the items' first crossings along the cut.
+gauge-reduced windings and the identities of the two marked faces.  These
+are the hole face, in which the cut runs before the component's first
+crossing, and the outer face, in which it runs after the last.  Faces
+follow from the rotation system that the vertex types force (split ccw =
+(in, L, R), merge ccw = (out, R, L)), and only the faces that the cut runs
+through are traced, each from a dart at a crossing.  Components and free
+loops are listed in their radial nesting order, which is part of the
+isotopy class.  Every item winds around the hole, so an inner item
+separates an outer one from the hole: the order is that of the items'
+first crossings, read in one walk along the cut.
 """
 
 from __future__ import annotations
@@ -71,53 +74,6 @@ _SLOTS = (("L", "R", "out"), ("in", "L", "R"))
 _TURN = ((2, -1, -1), (1, 1, -2))
 
 
-class _Cut:
-    """The radial cut order as a doubly linked list over token ids, so that
-    a reduction move splices tokens in constant time; -1 ends it on both
-    sides, and ``first`` is the innermost token."""
-
-    def __init__(self, tokens: list[int]):
-        size = max(tokens, default=-1) + 1
-        self.after = [-1] * size
-        self.before = [-1] * size
-        ends = [-1, *tokens, -1]
-        for a, t, b in zip(ends, ends[1:], ends[2:]):
-            self.before[t] = a
-            self.after[t] = b
-        self.first = ends[1]
-
-    def _link(self, a: int, b: int) -> None:
-        if a < 0:
-            self.first = b
-        else:
-            self.after[a] = b
-        if b >= 0:
-            self.before[b] = a
-
-    def remove(self, t: int) -> None:
-        self._link(self.before[t], self.after[t])
-
-    def split(self, t: int, inner: int, outer: int) -> None:
-        """Replace ``t`` by the new tokens ``inner`` followed by ``outer``,
-        the later one."""
-        grow = outer + 1 - len(self.after)
-        if grow > 0:
-            self.after += [-1] * grow
-            self.before += [-1] * grow
-        a, b = self.before[t], self.after[t]
-        self._link(a, inner)
-        self._link(inner, outer)
-        self._link(outer, b)
-
-    def tokens(self) -> list[int]:
-        out = []
-        t = self.first
-        while t != -1:
-            out.append(t)
-            t = self.after[t]
-        return out
-
-
 class _Net:
     """Mutable split/merge network with exact cut-crossing bookkeeping, held
     in flat integer arrays.
@@ -144,11 +100,6 @@ class _Net:
 
     # -- construction -------------------------------------------------------
 
-    def new_token(self) -> int:
-        tid = self.token_count
-        self.token_count += 1
-        return tid
-
     def copy(self) -> "_Net":
         out = _Net()
         out.kind = self.kind[:]
@@ -161,116 +112,26 @@ class _Net:
         out.token_count = self.token_count
         return out
 
-    def _remove_vertex(self, vid: int) -> None:
-        self.kind[vid] = -1
-        self.att[3 * vid : 3 * vid + 3] = (-1, -1, -1)
-
-    def _drop_edge(self, eid: int) -> None:
-        att = self.att
-        for d in (self.tail[eid], self.head[eid]):
-            if att[d] == eid:
-                att[d] = -1
-        self.tail[eid] = self.head[eid] = -1
-
-    def _resolve_connectors(self, connectors: list[list]) -> list[int]:
-        """Splice edge chains through removed vertices.
-
-        Each connector [ein, eout, tokens] joins the loose head of ``ein``
-        to the loose tail of ``eout``, inserting the corridor's cut
-        crossings; a chain that closes on itself becomes a free loop.
-        Returns the spliced edges that survive, the only edges whose
-        records changed.
-        """
-        tail, head, toks = self.tail, self.head, self.toks
-        kept = []
-        for k, (ein, eout, tokens) in enumerate(connectors):
-            if ein == eout:
-                loop = toks[ein] + tokens
-                if len(loop) != 1:
-                    raise AssertionError("free loop must cross the cut exactly once")
-                self.loop_tokens.append(loop[0])
-                self._drop_edge(ein)
-                continue
-            end = head[ein] = head[eout]
-            toks[ein] = toks[ein] + tokens + toks[eout]
-            tail[eout] = head[eout] = -1
-            self.att[end] = ein
-            kept.append(ein)
-            for later in connectors[k + 1 :]:
-                if later[0] == eout:
-                    later[0] = ein
-        return [eid for eid in kept if tail[eid] >= 0]
-
     # -- reduction moves ----------------------------------------------------
 
-    def _is_bigon(self, vid: int) -> bool:
-        """A split whose outputs feed one merge in order, bounding a disk
-        (the parallel strands cross the cut equally often)."""
-        if self.kind[vid] != SPLIT:
-            return False
-        el, er = self.att[3 * vid + 1], self.att[3 * vid + 2]
-        left = self.head[el]  # the merge's slot L is 0 and its slot R is 1
-        return (
-            self.head[er] == left + 1
-            and left % 3 == 0
-            and self.kind[left // 3] == MERGE
-            and len(self.toks[el]) == len(self.toks[er])
-        )
-
-    def _is_pass(self, eid: int) -> bool:
-        """An edge running from a merge into a split."""
-        tail = self.tail[eid]
-        return (
-            tail >= 0
-            and self.kind[tail // 3] == MERGE
-            and self.kind[self.head[eid] // 3] == SPLIT
-        )
-
     def bigon_moves(self) -> list[int]:
-        return [vid for vid, k in enumerate(self.kind) if k == SPLIT and self._is_bigon(vid)]
-
-    def pass_moves(self) -> list[int]:
-        kind = self.kind
+        """The splits whose outputs feed one merge in order, bounding a
+        disk (the parallel strands cross the cut equally often).  Only a
+        merge takes edges in at two neighbouring slots, its L and R."""
+        kind, att, head, toks = self.kind, self.att, self.head, self.toks
         return [
-            eid for eid, t in enumerate(self.tail) if t >= 0 and kind[t // 3] == MERGE and self._is_pass(eid)
+            v for v, k in enumerate(kind)
+            if k == SPLIT
+            and head[att[3 * v + 2]] == head[att[3 * v + 1]] + 1
+            and len(toks[att[3 * v + 1]]) == len(toks[att[3 * v + 2]])
         ]
 
-    def apply_bigon(self, split_vid: int, cut: _Cut) -> list[int]:
-        att = self.att
-        el, er = att[3 * split_vid + 1], att[3 * split_vid + 2]
-        merge_vid = self.head[el] // 3
-        left_tokens, right_tokens = self.toks[el], self.toks[er]
-        for tl, tr in zip(left_tokens, right_tokens):
-            # the left strand of the bigon is the outer one at every wrap
-            if cut.before[tl] != tr:
-                raise AssertionError("bigon strands must cross the cut adjacently")
-        for t in left_tokens:
-            cut.remove(t)
-        ein, eout = att[3 * split_vid], att[3 * merge_vid + 2]
-        self._drop_edge(el)
-        self._drop_edge(er)
-        self._remove_vertex(split_vid)
-        self._remove_vertex(merge_vid)
-        return self._resolve_connectors([[ein, eout, right_tokens]])
-
-    def apply_pass(self, eid: int, cut: _Cut) -> list[int]:
-        att = self.att
-        merge_vid, split_vid = self.tail[eid] // 3, self.head[eid] // 3
-        left_copies, right_copies = [], []
-        for t in self.toks[eid]:
-            # the two replacement strands run in parallel where the edge
-            # was; the left one is outer at every cut crossing
-            inner, outer = self.new_token(), self.new_token()
-            right_copies.append(inner)
-            left_copies.append(outer)
-            cut.split(t, inner, outer)
-        m, s = 3 * merge_vid, 3 * split_vid
-        left = [att[m], att[s + 1], tuple(left_copies)]
-        right = [att[m + 1], att[s + 2], tuple(right_copies)]
-        self._drop_edge(eid)
-        self._remove_vertex(merge_vid)
-        self._remove_vertex(split_vid)
-        return self._resolve_connectors([left, right])
+    def pass_moves(self) -> list[int]:
+        """The edges that run from a merge into a split."""
+        kind, head = self.kind, self.head
+        return [
+            e for e, t in enumerate(self.tail) if t >= 0 and kind[t // 3] == MERGE and kind[head[e] // 3] == SPLIT
+        ]
 
     def parallel_loops(self) -> set[int]:
         """The tokens of the free loops that type III drops: each one whose
@@ -299,89 +160,114 @@ class _Net:
         edges and their source vertices can hold a new move, so each is
         pushed if it holds one.  The top is checked again before a move is
         taken, since a later move may have removed it.
+
+        Each move is applied in place.  The radial cut is a doubly linked
+        list over token ids, -1 ending it on both sides, so a move splices
+        its tokens in constant time.  A move removes a split and a merge:
+        each edge into the pair runs on through the corridor's tokens and
+        takes the far end of the edge out of it, which is dropped, and a
+        chain that closes on itself becomes a free loop.
         """
-        cut = _Cut(self.cut_order)
-        kind, tail, is_bigon, is_pass = self.kind, self.tail, self._is_bigon, self._is_pass
+        kind, att, tail, head, toks = self.kind, self.att, self.tail, self.head, self.toks
+        after = [-1] * self.token_count
+        before = after[:]
+        ends = [-1, *self.cut_order, -1]
+        for a, t, b in zip(ends, ends[1:], ends[2:]):
+            before[t] = a
+            after[t] = b
+        first = ends[1]
         bigons, passes = self.bigon_moves(), self.pass_moves()
         while bigons or passes:
             if bigons:
-                vid = heappop(bigons)
-                if not is_bigon(vid):
+                v = heappop(bigons)
+                s = 3 * v
+                el, er = att[s + 1], att[s + 2]
+                m = head[el]  # the merge's slot L is 0 and its slot R is 1
+                tokens = toks[er]
+                if kind[v] != SPLIT or head[er] != m + 1 or len(toks[el]) != len(tokens):
                     continue
-                spliced = self.apply_bigon(vid, cut)
+                for tl, tr in zip(toks[el], tokens):
+                    # the left strand of the bigon is the outer one at every
+                    # wrap, and the right one stays on the cut
+                    if before[tl] != tr:
+                        raise AssertionError("bigon strands must cross the cut adjacently")
+                    b = after[tr] = after[tl]
+                    if b >= 0:
+                        before[b] = tr
+                tail[el] = head[el] = tail[er] = head[er] = -1
+                ein, eout = att[s], att[m + 2]
+                spliced = (ein,)
             else:
-                eid = heappop(passes)
-                if not is_pass(eid):
+                e = heappop(passes)
+                m, s = tail[e], head[e]
+                if m < 0 or kind[m // 3] != MERGE or kind[s // 3] != SPLIT:
                     continue
-                spliced = self.apply_pass(eid, cut)
-            for eid in spliced:  # the tail of a pass is a merge, of a bigon a split
-                vid = tail[eid] // 3
-                if kind[vid] == MERGE:
-                    if is_pass(eid):
-                        heappush(passes, eid)
-                elif is_bigon(vid):
-                    heappush(bigons, vid)
-        self.cut_order = cut.tokens()
+                m -= 2  # from the merge's slot out to its slot L
+                # the two replacement strands run in parallel where the edge
+                # was; the left one is outer at every cut crossing
+                new = base = len(after)
+                for t in toks[e]:
+                    a, b = before[t], after[t]
+                    if a < 0:
+                        first = new
+                    else:
+                        after[a] = new
+                    if b >= 0:
+                        before[b] = new + 1
+                    before += (a, new)
+                    after += (new + 1, b)
+                    new += 2
+                tail[e] = head[e] = -1
+                # the left strand joins the merge's input L to the split's
+                # output L; then the right strand joins R to R
+                ein, eout, c, d = att[m], att[s + 1], att[m + 1], att[s + 2]
+                tokens = tuple(range(base + 1, new, 2))
+                if ein == eout:
+                    loop = toks[ein] + tokens
+                    if len(loop) != 1:
+                        raise AssertionError("free loop must cross the cut exactly once")
+                    self.loop_tokens.append(loop[0])
+                    tail[ein] = head[ein] = -1
+                else:
+                    end = head[ein] = head[eout]
+                    toks[ein] += tokens + toks[eout]
+                    tail[eout] = head[eout] = -1
+                    att[end] = ein
+                    if c == eout:
+                        c = ein
+                spliced = (ein, c)
+                ein, eout, tokens = c, d, tuple(range(base, new, 2))
+            if ein == eout:
+                loop = toks[ein] + tokens
+                if len(loop) != 1:
+                    raise AssertionError("free loop must cross the cut exactly once")
+                self.loop_tokens.append(loop[0])
+                tail[ein] = head[ein] = -1
+            else:
+                end = head[ein] = head[eout]
+                toks[ein] += tokens + toks[eout]
+                tail[eout] = head[eout] = -1
+                att[end] = ein
+            kind[s // 3] = kind[m // 3] = -1
+            att[s : s + 3] = att[m : m + 3] = (-1, -1, -1)
+            for e in spliced:  # the tail of a pass is a merge, of a bigon a split
+                t = tail[e]
+                if t < 0:
+                    continue
+                if kind[t // 3] == MERGE:
+                    if kind[head[e] // 3] == SPLIT:
+                        heappush(passes, e)
+                    continue
+                el, er = att[t - t % 3 + 1], att[t - t % 3 + 2]
+                if head[er] == head[el] + 1 and len(toks[el]) == len(toks[er]):
+                    heappush(bigons, t // 3)
+        self.cut_order = order = []
+        while first >= 0:
+            order.append(first)
+            first = after[first]
+        self.token_count = len(after)
 
     # -- embedding: faces and radial nesting --------------------------------
-
-    def _face_orbits(self) -> tuple[list[int], list[list[int]]]:
-        """The face id of every dart (-1 at an empty one), and the darts of
-        every face.
-
-        Faces are orbits of sigma(alpha(dart)): alpha jumps to the other end
-        of the dart's edge and sigma turns counterclockwise around that
-        vertex.  The orbit of a dart is the face on the left of its edge
-        when the edge points away from the dart's vertex, so the head dart
-        of an edge carries the face on the inner side of its cut crossings
-        (the flow is counterclockwise there).
-        """
-        kind, att, tail, head = self.kind, self.att, self.tail, self.head
-        face = [-1] * len(att)
-        orbits: list[list[int]] = []
-        for eid, start in enumerate(tail):
-            if start < 0:
-                continue
-            for dart in (start, head[eid]):
-                if face[dart] >= 0:
-                    continue
-                orbit = []
-                while face[dart] < 0:
-                    face[dart] = len(orbits)
-                    orbit.append(dart)
-                    e = att[dart]
-                    end = head[e] if tail[e] == dart else tail[e]
-                    dart = end + _TURN[kind[end // 3]][end % 3]
-                orbits.append(orbit)
-        return face, orbits
-
-    def component_edges(self) -> list[list[int]]:
-        """The edges of each connected component in ascending order, the
-        components by least edge id; a search from vertex to vertex reads
-        each vertex's darts once."""
-        att, tail, head = self.att, self.tail, self.head
-        comp_of = [-1] * len(self.kind)
-        comps: list[list[int]] = []
-        for eid, start in enumerate(tail):
-            if start < 0:
-                continue
-            vid = start // 3
-            if comp_of[vid] < 0:
-                comp_of[vid] = len(comps)
-                stack = [vid]
-                while stack:
-                    v = stack.pop()
-                    for dart in range(3 * v, 3 * v + 3):
-                        e = att[dart]
-                        if e < 0:
-                            continue
-                        w = (head[e] if tail[e] == dart else tail[e]) // 3
-                        if comp_of[w] < 0:
-                            comp_of[w] = len(comps)
-                            stack.append(w)
-                comps.append([])
-            comps[comp_of[vid]].append(eid)
-        return comps
 
     def cut_owners(self) -> list[int]:
         """The live edge that holds each token of ``cut_order``, in cut
@@ -396,49 +282,127 @@ class _Net:
 
     def radial_items(self) -> list[tuple]:
         """Components and free loops innermost first: a free loop as
-        ``(token,)``, a component as ``(edges, crossed)``, where ``crossed``
-        lists the edge at each of its cut crossings, innermost first.
+        ``(token,)``, a component as ``(edges, crossed)``, where ``edges``
+        are its edges in ascending order and ``crossed`` lists the edge at
+        each of its cut crossings, innermost first.
 
         Every item winds around the hole, so an item inside another one
         separates that one from the hole and the cut meets it first: the
-        radial order is the order of first crossings.
+        radial order is the order of first crossings.  One walk along the
+        cut finds them, with a search from vertex to vertex at each
+        component's first crossing; a component that the cut never meets
+        would leave its edges unfound.
         """
-        comps = [(edges, []) for edges in self.component_edges()]
-        comp_of: list = [None] * len(self.tail)
-        for comp in comps:
-            for eid in comp[0]:
-                comp_of[eid] = comp
+        att, tail, head = self.att, self.tail, self.head
+        item_of: list = [None] * len(self.kind)
         items: list[tuple] = []
+        found = 0
         for t, eid in zip(self.cut_order, self.cut_owners()):
             if eid < 0:  # the token of a free loop
                 items.append((t,))
                 continue
-            comp = comp_of[eid]
-            if not comp[1]:
-                items.append(comp)
-            comp[1].append(eid)
-        if not all(crossed for _, crossed in comps):
+            item = item_of[tail[eid] // 3]
+            if item is None:
+                edges: list[int] = []
+                item = (edges, [])
+                stack = [tail[eid] // 3]
+                item_of[stack[0]] = item
+                while stack:
+                    v = stack.pop()
+                    for dart in range(3 * v, 3 * v + 3):
+                        e = att[dart]
+                        if tail[e] == dart:
+                            edges.append(e)
+                            w = head[e] // 3
+                        else:
+                            w = tail[e] // 3
+                        if item_of[w] is None:
+                            item_of[w] = item
+                            stack.append(w)
+                edges.sort()
+                found += len(edges)
+                items.append(item)
+            item[1].append(eid)
+        if found != len(tail) - tail.count(-1):
             raise AssertionError("a component must wind around the hole")
         return items
+
+    def cut_faces(self, items: list[tuple]) -> tuple[list[int], list[list[int]]]:
+        """The faces that the cut runs through, traced from the darts at
+        the cut crossings of the components of ``items``: the face id of
+        each dart traced (-1 at the others), and the darts of each face.
+
+        Faces are orbits of sigma(alpha(dart)): alpha jumps to the other
+        end of the dart's edge and sigma turns counterclockwise around that
+        vertex.  The orbit of a dart is the face on the left of its edge
+        when the edge points away from the dart's vertex, so the head dart
+        of an edge carries the face on the inner side of its cut crossings
+        and the tail dart the face on the outer side (the flow is
+        counterclockwise there).  From each crossing to the next of one
+        component the cut runs in one face, which is checked.
+        """
+        kind, att, tail, head = self.kind, self.att, self.tail, self.head
+        face = [-1] * len(att)
+        orbits: list[list[int]] = []
+        for item in items:
+            if len(item) == 1:
+                continue
+            crossed = item[1]
+            for dart in (head[crossed[0]], *[tail[e] for e in crossed]):
+                if face[dart] >= 0:
+                    continue
+                orbit = []
+                while face[dart] < 0:
+                    face[dart] = len(orbits)
+                    orbit.append(dart)
+                    e = att[dart]
+                    end = head[e] if tail[e] == dart else tail[e]
+                    dart = end + _TURN[kind[end // 3]][end % 3]
+                orbits.append(orbit)
+            for e, f in zip(crossed, crossed[1:]):
+                if face[tail[e]] != face[head[f]]:
+                    raise AssertionError("cut walk out of step with faces")
+        return face, orbits
 
     # -- canonical form -------------------------------------------------------
 
     def _min_signature(self, starts: list[int], marks: tuple[list, list]) -> tuple:
         """Least signature over ``starts``.
 
-        Only the starts with the least first entry get a walk.  Those walks
-        advance in lockstep, one vertex entry at a time, and only those
-        holding the least entry go on, so a start costs about the length
-        of its common prefix with the winner.  Two walks with equal
-        signatures pair their edge orders into an automorphism of the
-        marked, embedded diagram, under which every signature is
-        invariant: at k = 1, 2, 4, ... the first two walks are compared
-        entry by entry and the greater is dropped at the first difference;
-        when every vertex entry ties, windings and marks decide, and on a
-        whole tie the paired edges are joined in a union-find and each
-        class keeps one walk.  Symmetric diagrams such as the annular
-        closure of x0^n thus cost a few whole walks, not one per start.
+        Only the starts with the least first entry get a walk, and a lone
+        one is the winner.  Otherwise the walks advance in lockstep, one
+        number of their vertex entries at a time, and only those holding
+        the least number go on, so a start costs about the length of its
+        common prefix with the winner.  Two walks with equal signatures
+        pair their edge orders into an automorphism of the marked, embedded
+        diagram, under which every signature is invariant: at vertex
+        entries 1, 2, 4, ... the first two walks are compared and the
+        greater is dropped at the first difference; when every vertex
+        entry ties, windings and marks decide, and on a whole tie the
+        paired edges are joined in a union-find and each class keeps one
+        walk.  Symmetric diagrams such as the annular closure of x0^n thus
+        cost a few whole walks, not one per start.
         """
+        # A walk's first entry is that of the head of its start edge e: its
+        # kind, then the numbers of its three slot edges, e being 0 and the
+        # others numbered on from 1 in slot order.
+        kind, att, head = self.kind, self.att, self.head
+        least, tied = None, []
+        for e in starts:
+            d = head[e]
+            d -= d % 3
+            x, y, z = att[d], att[d + 1], att[d + 2]
+            nx = 0 if x == e else 1
+            ny = 0 if y == e else nx if y == x else nx + 1
+            nz = 0 if z == e else nx if z == x else ny if z == y else max(nx, ny) + 1
+            first = (kind[d // 3], nx, ny, nz)
+            if first == least:
+                tied.append(e)
+            elif least is None or first < least:
+                least, tied = first, [e]
+        if len(tied) == 1:
+            return _Walk(self, tied[0]).signature(marks)
+
         parent = {e: e for e in starts}
 
         def find(e: int) -> int:
@@ -469,24 +433,8 @@ class _Net:
                     out.append(walk)
             return out
 
-        # A walk's first entry is that of the head of its start edge e: its
-        # kind, then the numbers of its three slot edges, e being 0 and the
-        # others numbered on from 1 in slot order.
-        kind, att, head = self.kind, self.att, self.head
-        firsts = []
-        for e in starts:
-            d = head[e]
-            d -= d % 3
-            x, y, z = att[d], att[d + 1], att[d + 2]
-            nx = 0 if x == e else 1
-            ny = 0 if y == e else nx if y == x else nx + 1
-            nz = 0 if z == e else nx if z == x else ny if z == y else max(nx, ny) + 1
-            firsts.append((kind[d // 3], nx, ny, nz))
-        least = min(firsts)
-        walks = [_Walk(self, start) for start, e in zip(starts, firsts) if e == least]
-        k = 1
-        if len(walks) > 1:
-            walks = settle(walks, k)
+        k = 4  # the first number of vertex entry 1
+        walks = settle([_Walk(self, start) for start in tied], k)
         while len(walks) > 1 and walks[0].entry(k) is not None:
             entries = [walk.entry(k) for walk in walks]
             least = min(entries)
@@ -499,22 +447,19 @@ class _Net:
         return walks[0].signature(marks)
 
     def canonical_form(self) -> tuple:
-        faces, orbits = self._face_orbits()
+        """Per item, innermost first, "O" for a free loop and the least
+        signature of a component, whose marks are the hole face, in which
+        the cut runs before the component's first crossing, and the outer
+        face, after its last."""
+        items = self.radial_items()
+        face, orbits = self.cut_faces(items)
         tail, head = self.tail, self.head
-        items = []
-        for item in self.radial_items():
-            if len(item) == 1:
-                items.append("O")
-                continue
-            edges, crossed = item
-            # the cut runs in one face of the component from each crossing
-            # to the next: the hole face before the first, the outer after
-            # the last
-            if [faces[tail[e]] for e in crossed[:-1]] != [faces[head[e]] for e in crossed[1:]]:
-                raise AssertionError("cut walk out of step with faces")
-            marks = (orbits[faces[head[crossed[0]]]], orbits[faces[tail[crossed[-1]]]])
-            items.append(self._min_signature(edges, marks))
-        return tuple(items)
+        return tuple(
+            "O" if len(item) == 1 else self._min_signature(
+                item[0], (orbits[face[head[item[1][0]]]], orbits[face[tail[item[1][-1]]]])
+            )
+            for item in items
+        )
 
 
 class _Walk:
@@ -523,57 +468,49 @@ class _Walk:
 
     Edges are visited breadth first from ``start``; a vertex, when first
     reached, numbers its unnumbered slot edges in slot order, and its entry
-    (kind, slot edge numbers) is then final.  The signature is the vertex
-    entries, the windings reduced by the gauge ``psi`` of the spanning
-    tree of first visits, and for each marked face the least (edge number,
-    end) among its darts, end 0 at the tail and 1 at the head.
+    (kind, slot edge numbers) is then final.  The entries are kept as one
+    flat sequence of four numbers per vertex, which compares as the
+    entries would.  The signature is that sequence, the windings reduced
+    by the gauge ``psi`` of the spanning tree of first visits, and for
+    each marked face the least (edge number, end) among its darts, end 0
+    at the tail and 1 at the head.
     """
 
-    __slots__ = ("net", "edge_ix", "edge_order", "verts", "psi", "pos", "sig")
+    __slots__ = ("net", "edge_ix", "edge_order", "verts", "seen", "pos", "sig")
 
     def __init__(self, net: _Net, start: int):
         self.net = net
         self.edge_ix = {start: 0}
         self.edge_order = [start]
-        self.verts: list[tuple] = []
-        self.psi: dict[int, int] = {}  # reached vertices, with their gauge
+        self.verts: list[int] = []
+        self.seen: set[int] = set()  # the vertices reached
         self.pos = 0
         self.sig: tuple | None = None
 
-    def entry(self, k: int) -> tuple | None:
-        """The k-th vertex entry, or None past the last vertex."""
+    def entry(self, k: int) -> int | None:
+        """The k-th number of the vertex entries, or None past the last
+        vertex."""
         verts = self.verts
         if k < len(verts):
             return verts[k]
         net = self.net
-        kind, att, tail, head, toks = net.kind, net.att, net.tail, net.head, net.toks
-        edge_ix, edge_order, psi = self.edge_ix, self.edge_order, self.psi
+        kind, att, tail, head = net.kind, net.att, net.tail, net.head
+        edge_ix, edge_order, seen = self.edge_ix, self.edge_order, self.seen
         pos = self.pos
         while len(verts) <= k and pos < len(edge_order):
             eid = edge_order[pos]
             pos += 1
-            src_v, dst_v = tail[eid] // 3, head[eid] // 3
-            if dst_v in psi:
-                if src_v in psi:
+            for vid in (head[eid] // 3, tail[eid] // 3):
+                if vid in seen:
                     continue
-                psi[src_v] = psi[dst_v] - len(toks[eid])
-                reached = (src_v,)
-            elif src_v in psi:
-                psi[dst_v] = psi[src_v] + len(toks[eid])
-                reached = (dst_v,)
-            else:  # the start edge
-                psi[src_v] = 0
-                psi[dst_v] = len(toks[eid]) if dst_v != src_v else 0
-                reached = (dst_v, src_v) if dst_v != src_v else (dst_v,)
-            for vid in reached:
-                entry = [kind[vid]]
+                seen.add(vid)
+                verts.append(kind[vid])
                 for nxt in att[3 * vid : 3 * vid + 3]:
                     ix = edge_ix.get(nxt)
                     if ix is None:
                         ix = edge_ix[nxt] = len(edge_order)
                         edge_order.append(nxt)
-                    entry.append(ix)
-                verts.append(tuple(entry))
+                    verts.append(ix)
         self.pos = pos
         return verts[k] if k < len(verts) else None
 
@@ -583,18 +520,27 @@ class _Walk:
         result is kept."""
         if self.sig is None:
             net = self.net
-            self.entry(len(net.kind))
-            att, tail, head, toks, psi = net.att, net.tail, net.head, net.toks, self.psi
+            self.entry(4 * len(net.kind))
+            att, tail, head, toks = net.att, net.tail, net.head, net.toks
+            # the gauge, replayed over the edges in the order of the walk:
+            # an edge that first reaches a vertex sets its psi, and the
+            # start edge's head gets 0 (a shift of psi leaves the windings);
+            # both ends of an edge are set once it is read
+            psi: dict[int, int] = {}
+            winds = []
+            for eid in self.edge_order:
+                src, dst, w = tail[eid] // 3, head[eid] // 3, len(toks[eid])
+                if dst not in psi:
+                    psi[dst] = psi[src] + w if src in psi else 0
+                if src not in psi:
+                    psi[src] = psi[dst] - w
+                winds.append(w + psi[src] - psi[dst])
             edge_ix = self.edge_ix
-            winds = tuple(
-                len(toks[eid]) + psi[tail[eid] // 3] - psi[head[eid] // 3]
-                for eid in self.edge_order
-            )
             mark_ids = tuple(
                 min((edge_ix[att[d]], 0 if tail[att[d]] == d else 1) for d in darts)
                 for darts in marks
             )
-            self.sig = (tuple(self.verts), winds, mark_ids)
+            self.sig = (tuple(self.verts), tuple(winds), mark_ids)
         return self.sig
 
 
@@ -604,12 +550,13 @@ def _format_code(form: tuple, loops: int) -> str:
         if item == "O":
             parts.append("O")
             continue
-        verts, winds, marks = item
-        # every vertex has three slots, so an entry is (kind, a, b, c)
-        vtxt = ";".join(f"{_KINDS[k][0]}:{a},{b},{c}" for k, a, b, c in verts)
-        wtxt = ",".join(map(str, winds))
-        mtxt = ",".join(f"{e}{'st'[d]}" for e, d in marks)
-        parts.append(f"[{vtxt}|{wtxt}|{mtxt}]")
+        verts, winds, ((e0, d0), (e1, d1)) = item
+        # every vertex has three slots, so its entry is kind, a, b, c
+        values = list(verts)
+        values[::4] = [_KINDS[k][0] for k in verts[::4]]
+        values += (*winds, e0, "st"[d0], e1, "st"[d1])
+        text = ";".join(["%s:%d,%d,%d"] * (len(verts) // 4)) + "|" + ",".join(["%d"] * len(winds))
+        parts.append(f"[{text}|%d%s,%d%s]" % tuple(values))
     return (" ".join(parts) if parts else "-") + f" loops={loops}"
 
 
@@ -692,7 +639,7 @@ def canonical_code(a: AnnularStrandDiagram) -> str:
 
 def component_count(a: AnnularStrandDiagram) -> int:
     """Connected components, counting each free loop as one."""
-    return len(a._net.component_edges()) + a.free_loops
+    return len(a._net.radial_items())
 
 
 def annular_of(p: TreePair) -> AnnularStrandDiagram:
@@ -709,7 +656,7 @@ def annular_of(p: TreePair) -> AnnularStrandDiagram:
     carets = p.leaf_count - 1
     net.kind = [-1, -1] + [SPLIT] * carets + [MERGE] * carets
     net.att = att = [-1] * (3 * len(net.kind))
-    net.cut_order = [net.new_token()]
+    net.cut_order, net.token_count = [0], 1
     if carets == 0:
         net.loop_tokens = [0]
         return AnnularStrandDiagram(net)
@@ -739,5 +686,12 @@ def reduced_annular_of(p: TreePair) -> AnnularStrandDiagram:
 
 
 def are_conjugate(g: TreePair, h: TreePair) -> bool:
-    """Conjugacy test: reduced annular closures have equal canonical codes."""
-    return canonical_code(reduced_annular_of(g)) == canonical_code(reduced_annular_of(h))
+    """Conjugacy test: reduced annular closures have equal canonical codes.
+
+    The code spells out the kind of every vertex and the number of free
+    loops, so closures whose counts of splits, merges or free loops differ
+    are told apart before either code is computed."""
+    a, b = reduced_annular_of(g), reduced_annular_of(h)
+    if (a.split_count, a.merge_count, a.free_loops) != (b.split_count, b.merge_count, b.free_loops):
+        return False
+    return canonical_code(a) == canonical_code(b)

@@ -28,7 +28,16 @@ from thomplink import (
 from thomplink import strand
 from thomplink.strand import _SLOTS, _format_code, annular_of, reduced_annular_of
 from thomplink.trees import random_tree
-from util import X0, X1, concatenate, rescan_reduced, square_of, winding_condition_holds
+from util import (
+    X0,
+    X1,
+    component_edges,
+    concatenate,
+    face_orbits,
+    rescan_reduced,
+    square_of,
+    winding_condition_holds,
+)
 
 
 def reference_signature(net, start, marks):
@@ -64,14 +73,15 @@ def reference_signature(net, start, marks):
                 if nxt not in edge_ix:
                     edge_ix[nxt] = len(edge_order)
                     edge_order.append(nxt)
+    # each vertex entry is kind and three slot edge numbers, all in one flat tuple
     verts = tuple(
-        (net.kind[vid], *(edge_ix[nxt] for nxt in slot_edges(vid))) for vid in vert_order
+        x for vid in vert_order for x in (net.kind[vid], *(edge_ix[nxt] for nxt in slot_edges(vid)))
     )
     winds = tuple(
         len(net.toks[eid]) + psi[net.tail[eid] // 3] - psi[net.head[eid] // 3]
         for eid in edge_order
     )
-    faces = net._face_orbits()[0]
+    faces = face_orbits(net)[0]
     mark_ids = tuple(
         min(
             (edge_ix[eid], end)
@@ -87,7 +97,7 @@ def reference_signature(net, start, marks):
 def reference_code(a):
     """Canonical code by the exhaustive minimum over every start edge."""
     net = a._net
-    faces = net._face_orbits()[0]
+    faces = face_orbits(net)[0]
     items = []
     for item in net.radial_items():
         if len(item) == 1:
@@ -104,7 +114,7 @@ def reference_radial_items(net, faces):
     once per component to find the component's face at every position."""
     pos = {t: i for i, t in enumerate(net.cut_order)}
     comps = []
-    for comp in net.component_edges():
+    for comp in component_edges(net):
         token_edge = {t: eid for eid in comp for t in net.toks[eid]}
         ordered = sorted(token_edge, key=pos.get)
         gap_face = []
@@ -291,6 +301,37 @@ def test_conjugation_soundness():
         assert are_conjugate(g, multiply(multiply(w, g), invert(w)))
 
 
+def test_conjugacy_compares_counts_first(monkeypatch):
+    # the verdict is the equality of the two codes, and pairs whose reduced
+    # diagrams differ in their counts of splits, merges or free loops are
+    # decided without computing a code
+    rng = Random(65)
+    pairs = []
+    for i in range(300):
+        g = random_element(rng, 12)
+        if i % 2 == 0:
+            w = random_element(rng, 12)
+            pairs.append((g, multiply(multiply(w, g), invert(w))))
+        else:
+            pairs.append((g, random_element(rng, 12)))
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return canonical_code(a)
+
+    monkeypatch.setattr(strand, "canonical_code", counted)
+    verdicts, shortcuts = [], 0
+    for g, h in pairs:
+        same_code = canonical_code(reduced_annular_of(g)) == canonical_code(reduced_annular_of(h))
+        calls.clear()
+        verdicts.append(are_conjugate(g, h))
+        assert verdicts[-1] == same_code
+        shortcuts += not calls
+    assert all(verdicts[::2])
+    assert shortcuts
+
+
 def test_product_trace_property():
     rng = Random(54)
     for _ in range(30):
@@ -469,15 +510,16 @@ def test_symmetric_closures_cost_two_walks(monkeypatch):
         edges = len(net.tail) - net.tail.count(-1)
         walks.clear()
         canonical_code(AnnularStrandDiagram(net))
-        # one first entry per start edge, then the entries the walks made
-        entries = edges + sum(len(w.verts) for w in walks)
+        # one first entry per start edge, then the entries the walks made,
+        # four numbers to a vertex
+        entries = edges + sum(len(w.verts) // 4 for w in walks)
         assert entries <= edges + 2 * vertices, word
 
 
-def test_radial_order_matches_whole_cut_walk():
-    # wrapped elements, whose component count grows with n, the reduced
-    # Theorem 2 conjugates, unreduced closures, and nets reduced by types I
-    # and II only, so that runs of free loops are still there for type III
+def radial_corpus():
+    """Wrapped elements, whose component count grows with n, the reduced
+    Theorem 2 conjugates, unreduced closures, and nets reduced by types I
+    and II only, so that runs of free loops are still there for type III."""
     nets = [reduced_annular_of(h)._net for h in h_sequence(element_a(), 60)]
     for n in range(1, 13):
         nets.append(reduced_annular_of(conjugate(g_element(n), X0))._net)
@@ -491,8 +533,12 @@ def test_radial_order_matches_whole_cut_walk():
             nets.append(net)
             loops += 1
     nets += [annular_of(random_element(rng, 40))._net for _ in range(200)]
-    for net in nets:
-        faces = net._face_orbits()[0]
+    return nets
+
+
+def test_radial_order_matches_whole_cut_walk():
+    for net in radial_corpus():
+        faces = face_orbits(net)[0]
         items = net.radial_items()
         got = radial_summary(net, faces, items)
         assert got == radial_summary(net, faces, reference_radial_items(net, faces))
@@ -502,6 +548,38 @@ def test_radial_order_matches_whole_cut_walk():
                 edges, crossed = item
                 walk = [owner[t] for t in net.cut_order if owner.get(t, -1) in edges]
                 assert crossed == walk
+
+
+def test_cut_faces_match_whole_orbits(monkeypatch):
+    # the faces traced from the cut crossings split the crossings' darts as
+    # the whole orbits do, and the two marks of every component are the
+    # whole orbits of the hole and outer faces found by the whole-cut walk
+    marked = []
+    min_signature = strand._Net._min_signature
+
+    def recorded(net, starts, marks):
+        marked.append((tuple(starts), marks))
+        return min_signature(net, starts, marks)
+
+    monkeypatch.setattr(strand._Net, "_min_signature", recorded)
+    for net in radial_corpus():
+        faces, orbits = face_orbits(net)
+        items = net.radial_items()
+        face, traced = net.cut_faces(items)
+        darts = {d for item in items if len(item) == 2 for e in item[1] for d in (net.tail[e], net.head[e])}
+        pairs = {(face[d], faces[d]) for d in darts}
+        assert len({f for f, _ in pairs}) == len({g for _, g in pairs}) == len(pairs)
+        for f, g in pairs:
+            assert f >= 0 and sorted(traced[f]) == sorted(orbits[g])
+        want = {}  # the hole and outer faces of each component, by its edges
+        for c in radial_summary(net, faces, reference_radial_items(net, faces)):
+            if c[0] == "component":
+                want[tuple(c[1])] = c[2:]
+        marked.clear()
+        net.canonical_form()
+        assert len(marked) == len(want)
+        for starts, marks in marked:
+            assert [sorted(darts) for darts in marks] == [sorted(orbits[f]) for f in want[starts]]
 
 
 def test_type_three_drops_loops_after_loops():
@@ -515,7 +593,7 @@ def test_type_three_drops_loops_after_loops():
         net.reduce()
         if len(net.loop_tokens) < 2:
             continue
-        items = reference_radial_items(net, net._face_orbits()[0])
+        items = reference_radial_items(net, face_orbits(net)[0])
         want = {b[1] for a, b in zip(items, items[1:]) if a[0] == b[0] == "loop"}
         a = AnnularStrandDiagram(net)
         assert a.is_reduced == (not want)
@@ -553,26 +631,19 @@ def test_reduction_queues_only_live_moves(monkeypatch):
 def test_reduction_pops_at_1920_crossings(monkeypatch):
     # the closure of the element whose link has 1,920 crossings: no
     # candidate is dead when pushed, so each move is popped once and little
-    # else is
-    pops, moves = [], []
+    # else is; a move removes one split and one merge
+    pops = []
 
     def counted_pop(heap):
         pops.append(1)
         return heappop(heap)
 
-    def counted(apply):
-        def wrapped(net, key, cut):
-            moves.append(key)
-            return apply(net, key, cut)
-
-        return wrapped
-
     monkeypatch.setattr(strand, "heappop", counted_pop)
-    monkeypatch.setattr(strand._Net, "apply_bigon", counted(strand._Net.apply_bigon))
-    monkeypatch.setattr(strand._Net, "apply_pass", counted(strand._Net.apply_pass))
-    reduced_annular_of(h_sequence(element_a(), 240)[-1])
-    assert len(moves) == 720
-    assert len(pops) <= len(moves) + 1
+    a = annular_of(h_sequence(element_a(), 240)[-1])
+    r = reduce_annular(a)
+    moves = a.split_count - r.split_count
+    assert moves == a.merge_count - r.merge_count == 720
+    assert len(pops) <= moves + 1
 
 
 def test_conjugacy_at_600_leaves():

@@ -19,7 +19,7 @@ from thomplink import (
     reduce_pair,
 )
 from thomplink.links import _join
-from thomplink.strand import MERGE, SPLIT, _Cut, annular_of
+from thomplink.strand import _TURN, MERGE, SPLIT, annular_of
 from thomplink.trees import BinaryTree, _subtree_end, _tree, caret, graft, random_tree, tree_from_bits
 
 
@@ -264,24 +264,219 @@ def fast_conjugate_shape(g: TreePair, x_index: int) -> TreePair:
     )
 
 
+# The step-wise reduction moves, the reference for the moves that
+# strand._Net.reduce applies inline: each move collects connectors that
+# join the edges into the removed pair to the edges out of it, and splices
+# them one by one.
+
+class Cut:
+    """The radial cut order as a doubly linked list over token ids; -1 ends
+    it on both sides, and ``first`` is the innermost token."""
+
+    def __init__(self, tokens: list[int]):
+        size = max(tokens, default=-1) + 1
+        self.after = [-1] * size
+        self.before = [-1] * size
+        ends = [-1, *tokens, -1]
+        for a, t, b in zip(ends, ends[1:], ends[2:]):
+            self.before[t] = a
+            self.after[t] = b
+        self.first = ends[1]
+
+    def _link(self, a: int, b: int) -> None:
+        if a < 0:
+            self.first = b
+        else:
+            self.after[a] = b
+        if b >= 0:
+            self.before[b] = a
+
+    def remove(self, t: int) -> None:
+        self._link(self.before[t], self.after[t])
+
+    def split(self, t: int, inner: int, outer: int) -> None:
+        """Replace ``t`` by the new tokens ``inner`` followed by ``outer``,
+        the later one."""
+        grow = outer + 1 - len(self.after)
+        if grow > 0:
+            self.after += [-1] * grow
+            self.before += [-1] * grow
+        a, b = self.before[t], self.after[t]
+        self._link(a, inner)
+        self._link(inner, outer)
+        self._link(outer, b)
+
+    def tokens(self) -> list[int]:
+        out = []
+        t = self.first
+        while t != -1:
+            out.append(t)
+            t = self.after[t]
+        return out
+
+
+def remove_vertex(net, vid: int) -> None:
+    net.kind[vid] = -1
+    net.att[3 * vid : 3 * vid + 3] = (-1, -1, -1)
+
+
+def _drop_edge(net, eid: int) -> None:
+    for d in (net.tail[eid], net.head[eid]):
+        if net.att[d] == eid:
+            net.att[d] = -1
+    net.tail[eid] = net.head[eid] = -1
+
+
+def resolve_connectors(net, connectors: list[list]) -> list[int]:
+    """Splice edge chains through removed vertices.
+
+    Each connector [ein, eout, tokens] joins the loose head of ``ein`` to
+    the loose tail of ``eout``, inserting the corridor's cut crossings; a
+    chain that closes on itself becomes a free loop.  Returns the spliced
+    edges that survive, the only edges whose records changed.
+    """
+    tail, head, toks = net.tail, net.head, net.toks
+    kept = []
+    for k, (ein, eout, tokens) in enumerate(connectors):
+        if ein == eout:
+            loop = toks[ein] + tokens
+            if len(loop) != 1:
+                raise AssertionError("free loop must cross the cut exactly once")
+            net.loop_tokens.append(loop[0])
+            _drop_edge(net, ein)
+            continue
+        end = head[ein] = head[eout]
+        toks[ein] = toks[ein] + tokens + toks[eout]
+        tail[eout] = head[eout] = -1
+        net.att[end] = ein
+        kept.append(ein)
+        for later in connectors[k + 1 :]:
+            if later[0] == eout:
+                later[0] = ein
+    return [eid for eid in kept if tail[eid] >= 0]
+
+
+def apply_bigon(net, split_vid: int, cut: Cut) -> list[int]:
+    """Type I at the split ``split_vid``; returns the spliced edges."""
+    att = net.att
+    el, er = att[3 * split_vid + 1], att[3 * split_vid + 2]
+    merge_vid = net.head[el] // 3
+    left_tokens, right_tokens = net.toks[el], net.toks[er]
+    for tl, tr in zip(left_tokens, right_tokens):
+        # the left strand of the bigon is the outer one at every wrap
+        if cut.before[tl] != tr:
+            raise AssertionError("bigon strands must cross the cut adjacently")
+    for t in left_tokens:
+        cut.remove(t)
+    ein, eout = att[3 * split_vid], att[3 * merge_vid + 2]
+    _drop_edge(net, el)
+    _drop_edge(net, er)
+    remove_vertex(net, split_vid)
+    remove_vertex(net, merge_vid)
+    return resolve_connectors(net, [[ein, eout, right_tokens]])
+
+
+def apply_pass(net, eid: int, cut: Cut) -> list[int]:
+    """Type II at the edge ``eid``; returns the spliced edges."""
+    att = net.att
+    merge_vid, split_vid = net.tail[eid] // 3, net.head[eid] // 3
+    left_copies, right_copies = [], []
+    for t in net.toks[eid]:
+        # the two replacement strands run in parallel where the edge was;
+        # the left one is outer at every cut crossing
+        inner, outer = net.token_count, net.token_count + 1
+        net.token_count += 2
+        right_copies.append(inner)
+        left_copies.append(outer)
+        cut.split(t, inner, outer)
+    m, s = 3 * merge_vid, 3 * split_vid
+    left = [att[m], att[s + 1], tuple(left_copies)]
+    right = [att[m + 1], att[s + 2], tuple(right_copies)]
+    _drop_edge(net, eid)
+    remove_vertex(net, merge_vid)
+    remove_vertex(net, split_vid)
+    return resolve_connectors(net, [left, right])
+
+
 def rescan_reduced(a, rng=None):
     """Reduction that rescans every vertex and edge for moves after each one;
     with ``rng``, it applies a random one of the sorted type I moves followed
     by the sorted type II moves."""
     net = a._net.copy()
-    cut = _Cut(net.cut_order)
+    cut = Cut(net.cut_order)
     while True:
         moves = [("I", v) for v in net.bigon_moves()] + [("II", e) for e in net.pass_moves()]
         if not moves:
             break
         kind, key = rng.choice(moves) if rng is not None else moves[0]
         if kind == "I":
-            net.apply_bigon(key, cut)
+            apply_bigon(net, key, cut)
         else:
-            net.apply_pass(key, cut)
+            apply_pass(net, key, cut)
     net.cut_order = cut.tokens()
     net.merge_parallel_loops()
     return AnnularStrandDiagram(net)
+
+
+def face_orbits(net) -> tuple[list[int], list[list[int]]]:
+    """The face id of every dart (-1 at an empty one), and the darts of
+    every face: the whole-diagram reference for the faces that the
+    canonical code traces from the cut.
+
+    Faces are orbits of sigma(alpha(dart)): alpha jumps to the other end of
+    the dart's edge and sigma turns counterclockwise around that vertex.
+    The orbit of a dart is the face on the left of its edge when the edge
+    points away from the dart's vertex, so the head dart of an edge carries
+    the face on the inner side of its cut crossings (the flow is
+    counterclockwise there).
+    """
+    kind, att, tail, head = net.kind, net.att, net.tail, net.head
+    face = [-1] * len(att)
+    orbits: list[list[int]] = []
+    for eid, start in enumerate(tail):
+        if start < 0:
+            continue
+        for dart in (start, head[eid]):
+            if face[dart] >= 0:
+                continue
+            orbit = []
+            while face[dart] < 0:
+                face[dart] = len(orbits)
+                orbit.append(dart)
+                e = att[dart]
+                end = head[e] if tail[e] == dart else tail[e]
+                dart = end + _TURN[kind[end // 3]][end % 3]
+            orbits.append(orbit)
+    return face, orbits
+
+
+def component_edges(net) -> list[list[int]]:
+    """The edges of each connected component in ascending order, the
+    components by least edge id, found by a search from vertex to vertex
+    that starts at every edge not yet reached."""
+    att, tail, head = net.att, net.tail, net.head
+    comp_of = [-1] * len(net.kind)
+    comps: list[list[int]] = []
+    for eid, start in enumerate(tail):
+        if start < 0:
+            continue
+        vid = start // 3
+        if comp_of[vid] < 0:
+            comp_of[vid] = len(comps)
+            stack = [vid]
+            while stack:
+                v = stack.pop()
+                for dart in range(3 * v, 3 * v + 3):
+                    e = att[dart]
+                    if e < 0:
+                        continue
+                    w = (head[e] if tail[e] == dart else tail[e]) // 3
+                    if comp_of[w] < 0:
+                        comp_of[w] = len(comps)
+                        stack.append(w)
+            comps.append([])
+        comps[comp_of[vid]].append(eid)
+    return comps
 
 
 def winding_condition_holds(a: AnnularStrandDiagram) -> bool:
@@ -386,9 +581,9 @@ def concatenate(a: SquareDiagram, b: SquareDiagram) -> SquareDiagram:
     source_b = b.source + offset_v
     ein = net.att[3 * a.sink]
     eout = net.att[3 * source_b]
-    net._remove_vertex(a.sink)
-    net._remove_vertex(source_b)
-    net._resolve_connectors([[ein, eout, ()]])
+    remove_vertex(net, a.sink)
+    remove_vertex(net, source_b)
+    resolve_connectors(net, [[ein, eout, ()]])
     net.reduce()
     return SquareDiagram(net, a.source, b.sink + offset_v)
 
