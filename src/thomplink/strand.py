@@ -116,8 +116,10 @@ class _Net:
 
     def bigon_moves(self) -> list[int]:
         """The splits whose outputs feed one merge in order, bounding a
-        disk (the parallel strands cross the cut equally often).  Only a
-        merge takes edges in at two neighbouring slots, its L and R."""
+        disk (the parallel strands cross the cut equally often).  The head
+        of output R is one dart past that of output L only at a merge's
+        inputs L and R, since only a merge takes edges in at two
+        neighbouring slots.  ``reduce`` pops and pushes by this test."""
         kind, att, head, toks = self.kind, self.att, self.head, self.toks
         return [
             v for v, k in enumerate(kind)
@@ -127,7 +129,8 @@ class _Net:
         ]
 
     def pass_moves(self) -> list[int]:
-        """The edges that run from a merge into a split."""
+        """The edges that run from a merge into a split.  ``reduce`` pops
+        and pushes by this test."""
         kind, head = self.kind, self.head
         return [
             e for e, t in enumerate(self.tail) if t >= 0 and kind[t // 3] == MERGE and kind[head[e] // 3] == SPLIT
@@ -182,11 +185,11 @@ class _Net:
                 v = heappop(bigons)
                 s = 3 * v
                 el, er = att[s + 1], att[s + 2]
-                m = head[el]  # the merge's slot L is 0 and its slot R is 1
-                tokens = toks[er]
-                if kind[v] != SPLIT or head[er] != m + 1 or len(toks[el]) != len(tokens):
+                # the test of bigon_moves, which says why it is enough
+                if not (kind[v] == SPLIT and head[er] == head[el] + 1 and len(toks[el]) == len(toks[er])):
                     continue
-                for tl, tr in zip(toks[el], tokens):
+                m = head[el]  # the merge's slot L is 0 and its slot R is 1
+                for tl, tr in zip(toks[el], toks[er]):
                     # the left strand of the bigon is the outer one at every
                     # wrap, and the right one stays on the cut
                     if before[tl] != tr:
@@ -195,12 +198,14 @@ class _Net:
                     if b >= 0:
                         before[b] = tr
                 tail[el] = head[el] = tail[er] = head[er] = -1
-                ein, eout = att[s], att[m + 2]
-                spliced = (ein,)
+                # the edge into the split runs on through the right strand's
+                # tokens into the edge out of the merge
+                joins = ((att[s], att[m + 2], toks[er]),)
             else:
                 e = heappop(passes)
                 m, s = tail[e], head[e]
-                if m < 0 or kind[m // 3] != MERGE or kind[s // 3] != SPLIT:
+                # the test of pass_moves
+                if not (m >= 0 and kind[m // 3] == MERGE and kind[s // 3] == SPLIT):
                     continue
                 m -= 2  # from the merge's slot out to its slot L
                 # the two replacement strands run in parallel where the edge
@@ -219,9 +224,15 @@ class _Net:
                     new += 2
                 tail[e] = head[e] = -1
                 # the left strand joins the merge's input L to the split's
-                # output L; then the right strand joins R to R
-                ein, eout, c, d = att[m], att[s + 1], att[m + 1], att[s + 2]
-                tokens = tuple(range(base + 1, new, 2))
+                # output L, then the right strand R to R; if the split's
+                # output L ran into the merge's input R, the first join
+                # leaves the edge into input L running on into input R
+                ein, eout, c = att[m], att[s + 1], att[m + 1]
+                joins = (
+                    (ein, eout, tuple(range(base + 1, new, 2))),
+                    (ein if c == eout else c, att[s + 2], tuple(range(base, new, 2))),
+                )
+            for ein, eout, tokens in joins:
                 if ein == eout:
                     loop = toks[ein] + tokens
                     if len(loop) != 1:
@@ -233,24 +244,11 @@ class _Net:
                     toks[ein] += tokens + toks[eout]
                     tail[eout] = head[eout] = -1
                     att[end] = ein
-                    if c == eout:
-                        c = ein
-                spliced = (ein, c)
-                ein, eout, tokens = c, d, tuple(range(base, new, 2))
-            if ein == eout:
-                loop = toks[ein] + tokens
-                if len(loop) != 1:
-                    raise AssertionError("free loop must cross the cut exactly once")
-                self.loop_tokens.append(loop[0])
-                tail[ein] = head[ein] = -1
-            else:
-                end = head[ein] = head[eout]
-                toks[ein] += tokens + toks[eout]
-                tail[eout] = head[eout] = -1
-                att[end] = ein
             kind[s // 3] = kind[m // 3] = -1
             att[s : s + 3] = att[m : m + 3] = (-1, -1, -1)
-            for e in spliced:  # the tail of a pass is a merge, of a bigon a split
+            # the tests of pass_moves and bigon_moves at the spliced edges:
+            # the tail of a pass is a merge, of a bigon a split
+            for e, _, _ in joins:
                 t = tail[e]
                 if t < 0:
                     continue
@@ -686,12 +684,5 @@ def reduced_annular_of(p: TreePair) -> AnnularStrandDiagram:
 
 
 def are_conjugate(g: TreePair, h: TreePair) -> bool:
-    """Conjugacy test: reduced annular closures have equal canonical codes.
-
-    The code spells out the kind of every vertex and the number of free
-    loops, so closures whose counts of splits, merges or free loops differ
-    are told apart before either code is computed."""
-    a, b = reduced_annular_of(g), reduced_annular_of(h)
-    if (a.split_count, a.merge_count, a.free_loops) != (b.split_count, b.merge_count, b.free_loops):
-        return False
-    return canonical_code(a) == canonical_code(b)
+    """Conjugacy test: reduced annular closures have equal canonical codes."""
+    return canonical_code(reduced_annular_of(g)) == canonical_code(reduced_annular_of(h))
