@@ -1,73 +1,176 @@
-"""The Kauffman bracket by frontier contraction, and the unit comparator.
+"""The Kauffman bracket by twist reduction and frontier contraction, and the
+unit comparator.
 
 The bracket is characterized by
 
-    <U> = 1,   <L_X> = A <L_0> + A^-1 <L_oo>,   <L u U> = (-A^2 - A^-2) <L>.
+    <U> = 1,   <L_X> = A <L_0> + A^-1 <L_oo>,   <L u U> = delta <L>,
 
-Crossings are added one at a time, the next being the one with the most
-arcs already open, the earliest on ties: each crossing's count of open arcs
-is kept up to date as arcs open, and one lazy min-heap keyed by count and
-index gives the next crossing without a rescan.  Every strand end is named
-by its dart in the diagram's arc-end index, an open arc by its end still to
-be added.  After each step the smoothed part of the diagram is a set of
-closed loops plus strands joining pairs of open arc ends, so a state is
-that matching of open arcs.  Each state carries the sum, over the
-smoothings that reach it, of A^(A-smoothings - B-smoothings) times delta
-per closed loop, an integer Laurent polynomial held as a plain
-{exponent: coefficient} dict: a smoothing adds shifted copies of its
-state's dict into the dict of the state it reaches, one per term of
-A^(+-1) delta^k (k <= 2), and a ``LaurentPolynomial`` is built once, at
-the end.  States with equal matchings merge, which is what keeps the cost
-polynomial for diagrams of bounded width (Bar-Natan's local contraction,
-applied to the bracket); the work of a step still grows with the length of
-its states' polynomials.
+with delta = -A^2 - A^-2.  Each crossing carries a weight pair (x, y), at
+first (A, A^-1): x weighs the smoothing that joins slots 0-1 and 2-3, and y
+the one that joins 0-3 and 1-2.  At neighbouring slots s, s+1 the pinch
+weight p is the one whose smoothing joins them (x for even s), and o is the
+other.  The twist pass removes crossings by three rules that keep the state
+sum (the pair form of Goldman & Kauffman, "Rational tangles", 1997):
 
-Bracket values of diagrams of one link differ by units -A^(+-3) (framing)
-and whole factors delta per split trivial component, so link comparison
-goes through :func:`equivalent_up_to_units`, a necessary condition whose
-failure certifies that two links differ even after adding trivial
-components.
+* Kink, an arc from s to s+1: both smoothings join the arcs at s+2 and s+3,
+  and the pinch one closes a loop, so the crossing leaves a factor delta p + o.
+* Bigon, arcs from c:s to c2:t and from c:s+1 to c2:t-1: pinching both
+  crossings closes a loop, pinching one or both joins c:s+2 to c:s+3 and
+  c2:t+1 to c2:t+2, and pinching neither joins c:s+3 to c2:t+1 and c:s+2 to
+  c2:t+2.  So c2 merges into c, whose slots become (c:s+2, c:s+3, c2:t+1,
+  c2:t+2), with x = p1 o2 + o1 p2 + delta p1 p2 = p1 (delta p2 + o2) + o1 p2
+  and y = o1 o2, where (p1, o1) and (p2, o2) are the pairs at the bigon.
+* Zero weight: a crossing with x = 0 or y = 0 is its other smoothing alone,
+  as a cancelling clasp is, which merges to (0, 1).
+
+By induction over the rules, the exponents of one weight agree mod 4 and x's
+are y's plus 2: (A, A^-1) has this, p and o differ by 2, delta moves an
+exponent by 2 or 4, and every sum above adds terms that agree mod 4.  So a
+weight is a list of coefficients at stride 4.  The pass checks each crossing
+once, and again when one of its arcs changes; a 2-bridge diagram keeps no
+crossing.  The rest are contracted one at a time, the one with the most arcs
+open (the earliest on ties) next.  A state is the matching of open arcs that
+the smoothings so far make, and carries their weights times delta per closed
+loop; equal matchings merge (Bar-Natan's local contraction).
+
+Brackets of one link's diagrams differ by units -A^(+-3) and factors delta
+per split unknot; :func:`equivalent_up_to_units` compares them.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import add
 
-from .laurent import DELTA, ONE, LaurentPolynomial
+from .laurent import DELTA, LaurentPolynomial
 from .links import LinkDiagram, _join
 
-__all__ = [
-    "StateLimitError",
-    "kauffman_bracket",
-    "equivalent_up_to_units",
-]
+__all__ = ["StateLimitError", "kauffman_bracket", "equivalent_up_to_units"]
 
 DEFAULT_STATE_LIMIT = 100_000
 
-# Smoothing of a crossing (a0, a1, a2, a3): the A-smoothing joins slots
-# 0-1 and 2-3 and contributes A, the B-smoothing joins 0-3 and 1-2 and
-# contributes A^-1.  Each carries, for the k <= 2 loops it closes, the
-# terms (exponent, coefficient) of A^(+-1) * delta^k.
-_SMOOTHINGS = tuple(
-    ([tuple((DELTA**k).shifted(weight).coeffs.items()) for k in range(3)], joins)
-    for weight, joins in ((1, ((0, 1), (2, 3))), (-1, ((0, 3), (1, 2))))
-)
+# A weight (e, cs) is sum cs[i] A^(e + 4i), cs without zeros at its ends.  A
+# crossing's pair (A, A^-1) has kink values delta p + o of -A^3 and -A^-3.
+_ONE, _DELTA, _DELTA2 = (0, [1]), (-2, [-1, -1]), (-4, [1, 2, 1])
+_PLAIN, _KINKS = ((1, [1]), (-1, [1])), ((3, [-1]), (-3, [-1]))
+
+
+def _poly(*products):
+    """The sum of the products p * q of weights whose exponents agree mod 4."""
+    rows = []  # the shifted copies of the longer factor that make up the sum
+    for (e, a), (f, b) in products:
+        if len(a) < len(b):
+            a, b = b, a
+        for c in b:
+            rows.append((e + f, a if c == 1 else [c * x for x in a]))
+            f += 4
+    if len(rows) < 2:
+        return rows[0] if rows else (0, [])
+    e0, out = rows.pop()
+    out = out[:]
+    for e, a in rows:
+        i = e - e0 >> 2
+        if i < 0:
+            out[:0] = [0] * -i
+            e0, i = e, 0
+        j = i + len(a)
+        if j > len(out):
+            out += [0] * (j - len(out))
+        out[i:j] = map(add, out[i:j], a)
+    while out and not out[-1]:
+        out.pop()
+    i = 0
+    while out and not out[i]:
+        i += 1
+    return e0 + 4 * i, out[i:]
+
+
+def _terms(w) -> dict[int, int]:
+    e, cs = w
+    return {e + 4 * i: c for i, c in enumerate(cs) if c}
+
+
+def _smoothings(x, y):
+    """A crossing's two smoothings: the terms (exponent, coefficient) of its
+    weight times delta^k for the k <= 2 loops each closes, and its joins."""
+    return tuple(
+        ([tuple(_terms(_poly((w, dk))).items()) for dk in (_ONE, _DELTA, _DELTA2)], joins)
+        for w, joins in ((x, ((0, 1), (2, 3))), (y, ((0, 3), (1, 2))))
+    )
+
+
+_PLAIN_SMOOTHINGS = _smoothings(*_PLAIN)
 
 
 class StateLimitError(ValueError):
     """Raised when the contraction holds more states than the configured bound."""
 
 
-def kauffman_bracket(
-    d: LinkDiagram, max_states: int = DEFAULT_STATE_LIMIT
-) -> LaurentPolynomial:
-    """Exact bracket of a diagram, normalized so one free loop gives 1."""
+def _reduce_twists(partner: list[int]):
+    """Apply the three rules to the index ``partner`` (in place) until none
+    applies.  Returns the survivors' renumbered index and weight pairs, and
+    the factor and the number of loops that the removed crossings leave."""
+    n = len(partner) >> 2
+    weights, alive = [_PLAIN] * n, [True] * n
+    factor, loops, todo = _ONE, 0, list(range(n))
+    while todo:
+        c = todo.pop()
+        if not alive[c]:
+            continue
+        x, y = weights[c]
+        first = 4 * c
+        if not (x[1] and y[1]):  # x joins slots 0-1 and 2-3, y 0-3 and 1-2
+            s = 1 if x[1] else 3
+            w, joins = x if x[1] else y, ((first, first + s), (first + 2, first + (s ^ 2)))
+        else:
+            for d in range(first, first + 4):
+                e = partner[d]
+                nd = d ^ (3 if d & 1 else 1)  # the next slot counterclockwise
+                if e == nd or (partner[nd] == e ^ (1 if e & 1 else 3) and e >> 2 != c):
+                    break  # a kink, or a bigon: the next slot's arc ends just before e
+            else:
+                continue
+            p, o = (y, x) if d & 1 else (x, y)
+            if e != nd:  # a bigon: merge e's crossing into c
+                pe, pair = partner[nd], weights[e >> 2]
+                p2, o2 = pair[::-1] if pe & 1 else pair
+                k2 = _KINKS[pe & 1] if pair is _PLAIN else _poly((p2, _DELTA), (o2, _ONE))
+                weights[c] = (_poly((p, k2), (o, p2)), _poly((o, o2)))
+                alive[e >> 2] = False
+                old = (d ^ 2, nd ^ 2, e ^ (3 if e & 1 else 1), e ^ 2)
+                for i, f in enumerate([partner[u] for u in old]):
+                    f = first + old.index(f) if f in old else f
+                    partner[first + i], partner[f] = f, first + i
+                todo.append(c)
+                continue
+            w, joins = _poly((p, _DELTA), (o, _ONE)), ((d ^ 2, nd ^ 2),)  # a kink
+        alive[c] = False
+        factor = _poly((factor, w))
+        for u, v in joins:  # as links._join, queueing the far crossings
+            a, b = partner[u], partner[v]
+            if a == v:
+                loops += 1
+            else:
+                partner[a], partner[b] = b, a
+                todo.extend((a >> 2, b >> 2))
+    kept = [c for c in range(n) if alive[c]]
+    new = {u: i for i, u in enumerate(u for c in kept for u in range(4 * c, 4 * c + 4))}
+    return [new[partner[u]] for u in new], [weights[c] for c in kept], factor, loops
+
+
+def kauffman_bracket(d: LinkDiagram, max_states: int = DEFAULT_STATE_LIMIT) -> LaurentPolynomial:
+    """Exact bracket of a diagram, normalized so one free loop gives 1.
+    ``max_states`` bounds the contraction's states after the twist pass."""
     if d.crossing_count == 0:
         if d.free_loops == 0:
             raise ValueError("the empty diagram has no bracket normalization")
         return DELTA ** (d.free_loops - 1)
-    partner = d._partner
-    n = d.crossing_count
+    partner, weights, factor, loops = _reduce_twists(list(d._partner))
+    n = len(weights)
+    # free and closed loops are factors; with no crossing left one is <U> = 1
+    for _ in range(loops + d.free_loops - (n == 0)):
+        factor = _poly((factor, _DELTA))
+    smoothings = [_PLAIN_SMOOTHINGS if w is _PLAIN else _smoothings(*w) for w in weights]
     # opened[c]: slots of crossing c whose arc is open.  It only grows while
     # c waits, so the min-heap keyed (4 - opened[c]) * n + c holds c lazily:
     # an entry whose count has moved on is skipped.
@@ -77,8 +180,8 @@ def kauffman_bracket(
     # An open arc is named by its dart at the crossing still to be added.
     frontier: list[int] = []
     # matching of the frontier arcs (a tuple aligned with it) -> its sum,
-    # as {exponent: coefficient}; the free loops are factors from the start
-    states: dict[tuple[int, ...], dict[int, int]] = {(): dict((DELTA**d.free_loops).coeffs)}
+    # as {exponent: coefficient}
+    states: dict[tuple[int, ...], dict[int, int]] = {(): _terms(factor)}
     for step in range(n):
         # next: the crossing with the most open arcs, the earliest on ties
         while True:
@@ -112,7 +215,7 @@ def kauffman_bracket(
             items = poly.items()
             frontier_ends = dict(zip(frontier, key))
             frontier_ends.update(links)
-            for terms, ((s, t), (u, v)) in _SMOOTHINGS:
+            for terms, ((s, t), (u, v)) in smoothings[ci]:
                 ends = frontier_ends.copy()
                 closed = _join(ends, first + s, first + t)
                 closed += _join(ends, first + u, first + v)
@@ -153,8 +256,10 @@ def equivalent_up_to_units(
     and a power A^(3k), for some 0 <= m <= max_unknots."""
     if max_unknots < 0:
         raise ValueError("max_unknots must be non-negative")
-    dp = ONE
-    for m in range(max_unknots + 1):
+    if _unit_equal(p, q):
+        return True
+    dp = DELTA
+    for m in range(1, max_unknots + 1):
         if _unit_equal(p * dp, q) or _unit_equal(q * dp, p):
             return True
         dp = dp * DELTA

@@ -47,8 +47,8 @@ SCHEMA = 1
 THM1_LEAF_BUDGET = 2_200_000
 # the largest n that ``experiment thm2`` accepts; its rows are fixed
 # families of at most 2n + 3 leaves, far below MAX_WORD_LEAVES, and each
-# computes brackets of O(n) crossings, so the run is cubic in n (--n 250
-# took 54 s for either generator on a 2-core VM with Python 3.11)
+# merges twist regions of O(n) crossings, so the run is cubic in n (--n 250
+# took about 10 s for either generator on a 2-core VM with Python 3.11)
 THM2_MAX_N = 250
 # the link builders that ``link`` and ``bracket`` choose from with --route
 _ROUTES = {"tait": lambda p: medial_link(tait_graph(p)), "direct": direct_link}
@@ -312,7 +312,7 @@ def _add_state_bound(p) -> None:
         "--max-states",
         type=_positive_int,
         default=DEFAULT_STATE_LIMIT,
-        help="bound on the bracket contraction's states (default: %(default)s)",
+        help="bound on the states of the contraction after the twist pass (default: %(default)s)",
     )
 
 

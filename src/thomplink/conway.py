@@ -22,7 +22,7 @@ __all__ = ["MAX_CODE_CROSSINGS", "ConwayCode", "continued_fraction", "two_bridge
 
 # The most crossings a parsed code may have.  The bracket of one twist region
 # of c crossings costs about c^2 additions on integers of about 0.7c bits: at
-# this bound it takes about a second.
+# this bound it takes about 0.15 s.
 MAX_CODE_CROSSINGS = 1_000
 
 

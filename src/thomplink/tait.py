@@ -52,6 +52,12 @@ class TaitGraph:
                     raise ValueError(f"overlapping arcs ({a},{b}) and ({c},{d}) in half {half}")
                 stack.append((c, d))
 
+    @classmethod
+    def _of(cls, vertex_count: int, upper, lower) -> "TaitGraph":
+        t = object.__new__(cls)  # the arcs of a pair's trees, unchecked
+        t.vertex_count, t.upper, t.lower = vertex_count, tuple(upper), tuple(lower)
+        return t
+
     def to_json(self) -> str:
         upper = [[a, b, "U", "+"] for a, b in self.upper]
         lower = [[a, b, "L", "-"] for a, b in self.lower]
@@ -63,4 +69,4 @@ class TaitGraph:
 
 def tait_graph(p: TreePair) -> TaitGraph:
     """The signed graph of a tree pair (the pair need not be reduced)."""
-    return TaitGraph(p.leaf_count, zip(*node_spans(p.source)), zip(*node_spans(p.target)))
+    return TaitGraph._of(p.leaf_count, zip(*node_spans(p.source)), zip(*node_spans(p.target)))

@@ -19,10 +19,12 @@ from thomplink import (
     medial_link,
     mirror_diagram,
     multiply,
+    random_element,
     simplify,
     tait_graph,
     two_bridge_diagram,
 )
+from thomplink.tait import TaitGraph
 from util import random_diagram, rescan_bracket, unreduced_pair, with_kink, X0, X1
 
 # Two-crossing clasp: closure of a two-strand braid with two equal crossings.
@@ -135,12 +137,15 @@ def test_disjoint_union_multiplies_by_delta():
 
 
 def test_state_bound():
-    # the first Hopf crossing leaves two matchings of its four open arcs
+    # The medial of K4 has only triangular faces, so the twist pass keeps
+    # all 6 crossings and the contraction holds 5 states at its peak.
+    k4 = medial_link(TaitGraph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)], [(1, 3)]))
+    assert k4.crossing_count == 6
     with pytest.raises(StateLimitError):
-        kauffman_bracket(HOPF, max_states=1)
-    assert kauffman_bracket(HOPF, max_states=2) == LaurentPolynomial({4: -1, -4: -1})
+        kauffman_bracket(k4, max_states=4)
+    assert kauffman_bracket(k4, max_states=5) == brute_force_bracket(k4)
     with pytest.raises(StateLimitError):
-        kauffman_bracket(random_diagram(Random(44), 9), max_states=1)
+        kauffman_bracket(random_diagram(Random(50), 9), max_states=1)
 
 
 @pytest.mark.parametrize("x, base, unknots", [(X0, g_element, 0), (X1, h_element, 1)])
@@ -206,14 +211,81 @@ def rescan_corpus():
         yield two_bridge_diagram(ConwayCode([k]))
 
 
+# Peak states of the contraction that follows the twist pass on
+# ``rescan_corpus``, found by bisection; the Theorem 2 links and the
+# two-bridge diagrams reduce to no crossing.
+TWIST_PEAKS = [5, 5, 5, 0, 5, 0, 0, 5, 5, 5, 26, 5, 5, 0, 5, 5, 5, 0, 0, 0, 5, 5, 0, 14] + [0] * 76
+
+
 def test_bracket_matches_rescan_at_size():
-    # equal values, and equal peak states pin the crossing order
+    # equal values, an answer within the rescan's peak, and pinned peaks,
+    # which pin the twist pass and the contraction order
     sizes = []
-    for d in rescan_corpus():
-        value, peak = rescan_bracket(d)
+    for d, peak in zip(rescan_corpus(), TWIST_PEAKS, strict=True):
+        value, rescan_peak = rescan_bracket(d)
+        assert kauffman_bracket(d, max_states=rescan_peak) == value
         assert kauffman_bracket(d, max_states=peak) == value
-        with pytest.raises(StateLimitError):
-            kauffman_bracket(d, max_states=peak - 1)
+        if peak:
+            with pytest.raises(StateLimitError):
+                kauffman_bracket(d, max_states=peak - 1)
         sizes.append(d.crossing_count)
     assert min(sizes[:24]) <= 22 and max(sizes[:24]) >= 70
     assert max(sizes) == 300
+
+
+def twist_diagrams(rng: Random, count: int):
+    """Diagrams of up to 10 crossings rich in bigons and kinks: 4-plats,
+    kinked and mirrored, split unions with a small direct link, and free
+    loops."""
+    for _ in range(count):
+        code = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        d = two_bridge_diagram(ConwayCode(code))
+        while d.crossing_count < 10 and rng.random() < 0.5:
+            d = with_kink(rng, d)
+        if rng.random() < 0.5:
+            d = mirror_diagram(d)
+        if d.crossing_count <= 6 and rng.random() < 0.5:
+            d = disjoint_union(d, direct_link(unreduced_pair(rng, rng.randint(2, 3))))
+        yield LinkDiagram(d.crossings, d.free_loops + rng.randrange(3))
+
+
+def test_twist_pass_matches_brute_force():
+    reduced = 0
+    for d in twist_diagrams(Random(48), 150):
+        assert d.crossing_count <= 10
+        assert kauffman_bracket(d) == brute_force_bracket(d)
+        try:
+            kauffman_bracket(d, max_states=0)
+            reduced += 1
+        except StateLimitError:
+            pass
+    assert 0 < reduced < 150  # both a full reduction and a core are checked
+
+
+def test_two_bridge_diagrams_need_no_states():
+    # every 2-bridge diagram reduces fully, so the bracket answers with no
+    # state at all, and the Theorem 2 rows still match their 4-plats
+    for k in range(1, 301):
+        for code in ([1] * k, [k]):
+            assert not kauffman_bracket(two_bridge_diagram(ConwayCode(code)), max_states=0).is_zero()
+    for x, base, unknots in ((X0, g_element, 0), (X1, h_element, 1)):
+        for n in range(1, 31):
+            d = simplify(direct_link(conjugate(base(n), x))).diagram
+            oracle = kauffman_bracket(two_bridge_diagram(ConwayCode([1] * (2 * n))), max_states=0)
+            assert equivalent_up_to_units(kauffman_bracket(d, max_states=0), oracle * DELTA**unknots, 0)
+
+
+# Peak states of the 10 links of the bracket wall sample at 160 leaves.
+WALL_160_PEAKS = [37, 0, 62, 498, 0, 72, 13, 57, 66, 120]
+
+
+def test_random_links_at_160_leaves():
+    rng = Random(3)
+    for peak in WALL_160_PEAKS:
+        d = simplify(direct_link(random_element(rng, 160))).diagram
+        value, _ = rescan_bracket(d)
+        assert kauffman_bracket(d) == value
+        assert kauffman_bracket(d, max_states=peak) == value
+        if peak:
+            with pytest.raises(StateLimitError):
+                kauffman_bracket(d, max_states=peak - 1)

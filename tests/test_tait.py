@@ -5,6 +5,7 @@ import pytest
 
 from thomplink import from_word, identity, make_generator, random_element, tait_graph
 from thomplink.tait import TaitGraph
+from util import unreduced_pair
 
 
 def test_identity_graph():
@@ -46,6 +47,25 @@ def test_validation_rejects_overlap():
         TaitGraph(2, [], [(1, 0)])
     with pytest.raises(ValueError):
         TaitGraph(0, [], [])
+
+
+def test_unchecked_graph_equals_validated():
+    # tait_graph skips the nesting check; the checked constructor accepts
+    # every graph it builds, and still refuses an arc that overlaps one
+    rng = Random(22)
+    refused = 0
+    for _ in range(2000):
+        p = unreduced_pair(rng, rng.randint(2, 12))
+        n, t = p.leaf_count, tait_graph(p)
+        checked = TaitGraph(n, t.upper, t.lower)
+        assert (t.vertex_count, t.upper, t.lower) == (checked.vertex_count, checked.upper, checked.lower)
+        for a, b in t.lower:
+            if b - a > 1 and b < n - 1:  # (a + 1, b + 1) starts inside and ends past
+                with pytest.raises(ValueError, match="overlapping"):
+                    TaitGraph(n, t.upper, [*t.lower, (a + 1, b + 1)])
+                refused += 1
+                break
+    assert refused > 1000
 
 
 def test_json_export():
