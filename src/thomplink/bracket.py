@@ -40,7 +40,7 @@ per split unknot; :func:`equivalent_up_to_units` compares them.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import add
+from operator import add, sub
 
 from .laurent import DELTA, LaurentPolynomial
 from .links import LinkDiagram, _join
@@ -57,18 +57,21 @@ _PLAIN, _KINKS = ((1, [1]), (-1, [1])), ((3, [-1]), (-3, [-1]))
 
 def _poly(*products):
     """The sum of the products p * q of weights whose exponents agree mod 4."""
-    rows = []  # the shifted copies of the longer factor that make up the sum
+    rows = []  # (exponent, c, a): the longer factor a shifted, times c
     for (e, a), (f, b) in products:
         if len(a) < len(b):
             a, b = b, a
         for c in b:
-            rows.append((e + f, a if c == 1 else [c * x for x in a]))
+            if c:
+                rows.append((e + f, c, a))
             f += 4
-    if len(rows) < 2:
-        return rows[0] if rows else (0, [])
-    e0, out = rows.pop()
-    out = out[:]
-    for e, a in rows:
+    if not rows:
+        return 0, []
+    e0, c, a = rows.pop()
+    if not rows:
+        return e0, a if c == 1 else [c * x for x in a]
+    out = a[:] if c == 1 else [c * x for x in a]
+    for e, c, a in rows:
         i = e - e0 >> 2
         if i < 0:
             out[:0] = [0] * -i
@@ -76,7 +79,13 @@ def _poly(*products):
         j = i + len(a)
         if j > len(out):
             out += [0] * (j - len(out))
-        out[i:j] = map(add, out[i:j], a)
+        # a row of 1 or -1, as a kink value's is, is added without a copy
+        if c == 1:
+            out[i:j] = map(add, out[i:j], a)
+        elif c == -1:
+            out[i:j] = map(sub, out[i:j], a)
+        else:
+            out[i:j] = [o + c * x for o, x in zip(out[i:j], a)]
     while out and not out[-1]:
         out.pop()
     i = 0
@@ -103,7 +112,7 @@ _PLAIN_SMOOTHINGS = _smoothings(*_PLAIN)
 
 
 class StateLimitError(ValueError):
-    """Raised when the contraction holds more states than the configured bound."""
+    """Raised when a contraction step would make more states than the configured bound."""
 
 
 def _reduce_twists(partner: list[int]):
@@ -160,7 +169,8 @@ def _reduce_twists(partner: list[int]):
 
 def kauffman_bracket(d: LinkDiagram, max_states: int = DEFAULT_STATE_LIMIT) -> LaurentPolynomial:
     """Exact bracket of a diagram, normalized so one free loop gives 1.
-    ``max_states`` bounds the contraction's states after the twist pass."""
+    ``max_states`` bounds the contraction's states after the twist pass; a
+    step raises as it is about to make one more, before it builds the rest."""
     if d.crossing_count == 0:
         if d.free_loops == 0:
             raise ValueError("the empty diagram has no bracket normalization")
@@ -222,17 +232,16 @@ def kauffman_bracket(d: LinkDiagram, max_states: int = DEFAULT_STATE_LIMIT) -> L
                 out = tuple(map(ends.__getitem__, new_frontier))
                 target = new_states.get(out)
                 if target is None:
+                    if len(new_states) == max_states:
+                        raise StateLimitError(
+                            f"bracket contraction needs more than the bound of {max_states} states"
+                        )
                     target = new_states[out] = {}
                 get = target.get
                 for shift, coefficient in terms[closed - last]:
                     for e, c in items:
                         e += shift
                         target[e] = get(e, 0) + coefficient * c
-        if len(new_states) > max_states:
-            raise StateLimitError(
-                f"bracket contraction reached {len(new_states)} states, "
-                f"exceeding the bound {max_states}"
-            )
         states, frontier = new_states, new_frontier
     return LaurentPolynomial(states[()])
 

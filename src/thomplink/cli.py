@@ -3,7 +3,7 @@
 Subcommands
 -----------
 element parse|reduce|mul|inv|word   parse words / tree-pair JSON, arithmetic
-link ELEM [--route tait|direct] [--simplify]   extract the link diagram
+link ELEM [--simplify]              link diagram (--format tait-svg: its Tait graph)
 bracket ELEM [...]                  Kauffman bracket of the element's link
 conjugate W1 W2                     conjugacy verdict via annular diagrams
 experiment thm1 --n K [--seed W]    one link, distinct conjugacy classes
@@ -25,7 +25,7 @@ from .bracket import DEFAULT_STATE_LIMIT, StateLimitError, equivalent_up_to_unit
 from .conway import ConwayCode, continued_fraction, two_bridge_diagram
 from .families import conjugate, element_a, g_element, h_element, h_sequence
 from .laurent import DELTA
-from .links import LinkDiagram, component_count, direct_link, medial_link, simplify
+from .links import LinkDiagram, component_count, direct_link, simplify
 from .pairs import (
     MAX_WORD_LEAVES,
     TreePair,
@@ -35,7 +35,7 @@ from .pairs import (
     reduce_pair,
     to_word,
 )
-from .strand import are_conjugate, canonical_code, component_count as annular_components, reduced_annular_of
+from .strand import annular_of, are_conjugate, canonical_code, component_count as annular_components, reduce_annular
 from .svg import direct_link_svg, tait_graph_svg, tree_pair_svg
 from .tait import tait_graph
 
@@ -47,11 +47,10 @@ SCHEMA = 1
 THM1_LEAF_BUDGET = 2_200_000
 # the largest n that ``experiment thm2`` accepts; its rows are fixed
 # families of at most 2n + 3 leaves, far below MAX_WORD_LEAVES, and each
-# merges twist regions of O(n) crossings, so the run is cubic in n (--n 250
-# took about 10 s for either generator on a 2-core VM with Python 3.11)
+# merges twist regions of O(n) crossings into none, so the bracket needs no
+# state bound and the run is cubic in n (--n 250 took about 4 s for either
+# generator on a 2-core VM with Python 3.11)
 THM2_MAX_N = 250
-# the link builders that ``link`` and ``bracket`` choose from with --route
-_ROUTES = {"tait": lambda p: medial_link(tait_graph(p)), "direct": direct_link}
 
 
 class DomainError(ValueError):
@@ -125,25 +124,23 @@ def _link_payload(d: LinkDiagram) -> dict:
 
 def _cmd_link(args) -> int:
     p = _parse_element(args.element)
-    if args.format == "svg":
+    if args.format in ("svg", "tait-svg"):
         if args.simplify:
-            raise DomainError("svg output renders the unsimplified construction")
-        print(tait_graph_svg(tait_graph(p)) if args.route == "tait" else direct_link_svg(p))
+            raise DomainError(f"{args.format} output renders the unsimplified construction")
+        print(direct_link_svg(p) if args.format == "svg" else tait_graph_svg(tait_graph(p)))
         return 0
-    d = _ROUTES[args.route](p)
+    d = direct_link(p)
     removed = 0
     if args.simplify:
         rep = simplify(d)
         d, removed = rep.diagram, rep.removed_unknots
     if args.format == "json":
         payload = _link_payload(d)
-        payload["route"] = args.route
         payload["removed_unknots"] = removed
         print(json.dumps(payload))
     elif args.format == "pd":
         print(d.pd_text())
     else:
-        print(f"route:      {args.route}")
         print(f"crossings:  {d.crossing_count}")
         print(f"free loops: {d.free_loops}")
         print(f"components: {component_count(d)}")
@@ -153,12 +150,12 @@ def _cmd_link(args) -> int:
 
 def _cmd_bracket(args) -> int:
     p = _parse_element(args.element)
-    d = _ROUTES[args.route](p)
+    d = direct_link(p)
     if args.simplify:
         d = simplify(d).diagram
     value = kauffman_bracket(d, args.max_states)
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, "bracket": str(value), "route": args.route}))
+        print(json.dumps({"schema": SCHEMA, "bracket": str(value)}))
     else:
         print(value)
     return 0
@@ -193,7 +190,7 @@ def _cmd_experiment_thm1(args) -> int:
     for i, h in enumerate(h_sequence(seed, n), 1):
         rep = simplify(direct_link(h))
         br = kauffman_bracket(rep.diagram, args.max_states)
-        r = reduced_annular_of(h)
+        r = reduce_annular(annular_of(h))
         rows.append(
             {
                 "i": i,
@@ -204,7 +201,7 @@ def _cmd_experiment_thm1(args) -> int:
             }
         )
         brackets.append(br)
-    same_link = all(equivalent_up_to_units(brackets[0], b, 4) for b in brackets)
+    same_link = all(equivalent_up_to_units(brackets[0], b, 0) for b in brackets)
     distinct = len({r["code"] for r in rows}) == len(rows)
     if args.format == "json":
         print(
@@ -241,11 +238,11 @@ def _cmd_experiment_thm2(args) -> int:
         base = g_element(n) if gen_index == 0 else h_element(n)
         c = conjugate(base, x)
         rep = simplify(direct_link(c))
-        br = kauffman_bracket(rep.diagram, args.max_states)
+        br = kauffman_bracket(rep.diagram)
         code = ConwayCode([1] * (2 * n))
         oracle = kauffman_bracket(two_bridge_diagram(code))
         if gen_index == 0:
-            match = equivalent_up_to_units(br, oracle, 4)
+            match = equivalent_up_to_units(br, oracle, 0)
             target = str(code)
         else:
             match = equivalent_up_to_units(br, oracle * DELTA, 0)
@@ -331,14 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("link", help="link diagram of an element")
     pl.add_argument("element")
-    pl.add_argument("--route", choices=tuple(_ROUTES), default="direct")
     pl.add_argument("--simplify", action="store_true")
-    _add_format(pl, ("text", "json", "pd", "svg"))
+    _add_format(pl, ("text", "json", "pd", "svg", "tait-svg"))
     pl.set_defaults(func=_cmd_link)
 
     pb = sub.add_parser("bracket", help="Kauffman bracket of an element's link")
     pb.add_argument("element")
-    pb.add_argument("--route", choices=tuple(_ROUTES), default="direct")
     pb.add_argument("--no-simplify", dest="simplify", action="store_false")
     _add_state_bound(pb)
     _add_format(pb)
@@ -361,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p2 = xsub.add_parser("thm2", help="2-bridge links from one conjugacy class")
     p2.add_argument("--gen", choices=("x0", "x1"), required=True)
     p2.add_argument("--n", type=_positive_int, default=3)
-    _add_state_bound(p2)
     _add_format(p2)
     p2.set_defaults(func=_cmd_experiment_thm2)
 

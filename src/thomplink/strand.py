@@ -56,7 +56,6 @@ __all__ = [
     "are_conjugate",
     "component_count",
     "annular_of",
-    "reduced_annular_of",
 ]
 
 
@@ -618,16 +617,13 @@ class AnnularStrandDiagram:
         )
 
 
-def _reduced(net: _Net) -> AnnularStrandDiagram:
-    net.reduce()
-    net.merge_parallel_loops()
-    return AnnularStrandDiagram(net)
-
-
 def reduce_annular(a: AnnularStrandDiagram) -> AnnularStrandDiagram:
     """Apply reductions until none fits; the code of the result, though not
     its vertex and edge ids, is independent of the move order (fuzz-tested)."""
-    return _reduced(a._net.copy())
+    net = a._net.copy()
+    net.reduce()
+    net.merge_parallel_loops()
+    return AnnularStrandDiagram(net)
 
 
 def canonical_code(a: AnnularStrandDiagram) -> str:
@@ -677,12 +673,6 @@ def annular_of(p: TreePair) -> AnnularStrandDiagram:
     return AnnularStrandDiagram(net)
 
 
-def reduced_annular_of(p: TreePair) -> AnnularStrandDiagram:
-    """:func:`reduce_annular` of :func:`annular_of`, reducing the fresh
-    closure in place."""
-    return _reduced(annular_of(p)._net)
-
-
 def are_conjugate(g: TreePair, h: TreePair) -> bool:
     """Conjugacy test: reduced annular closures have equal canonical codes."""
-    return canonical_code(reduced_annular_of(g)) == canonical_code(reduced_annular_of(h))
+    return canonical_code(reduce_annular(annular_of(g))) == canonical_code(reduce_annular(annular_of(h)))

@@ -39,7 +39,7 @@ from thomplink import (
     tait_graph,
     two_bridge_diagram,
 )
-from thomplink.strand import annular_of, reduced_annular_of
+from thomplink.strand import annular_of, reduce_annular
 from util import graft_element, random_diagram, rescan_reduced, X0, X1
 
 from test_bracket import HOPF, brute_force_bracket
@@ -94,7 +94,7 @@ def test_criterion_4_one_link_for_the_whole_sequence():
 
 
 def test_criterion_5_distinct_conjugacy_classes():
-    reduced = [reduced_annular_of(h) for h in h_sequence(element_a(), 5)]
+    reduced = [reduce_annular(annular_of(h)) for h in h_sequence(element_a(), 5)]
     codes = [canonical_code(r) for r in reduced]
     comps = [annular_component_count(r) for r in reduced]
     ok = len(set(codes)) == 5
@@ -147,7 +147,7 @@ def test_criterion_9_reduction_confluence():
     ok = True
     for _ in range(100):
         g = random_element(rng, 10)
-        base = canonical_code(reduced_annular_of(g))
+        base = canonical_code(reduce_annular(annular_of(g)))
         for j in range(10):
             ok = ok and canonical_code(rescan_reduced(annular_of(g), Random(7000 + j))) == base
     report(9, "100 elements x 10 reduction orders, identical codes", ok)

@@ -264,12 +264,13 @@ def test_twist_pass_matches_brute_force():
 
 def test_two_bridge_diagrams_need_no_states():
     # every 2-bridge diagram reduces fully, so the bracket answers with no
-    # state at all, and the Theorem 2 rows still match their 4-plats
+    # state at all, and the Theorem 2 rows up to cli.THM2_MAX_N = 250 still
+    # match their 4-plats: no state bound can trip in ``experiment thm2``
     for k in range(1, 301):
         for code in ([1] * k, [k]):
             assert not kauffman_bracket(two_bridge_diagram(ConwayCode(code)), max_states=0).is_zero()
     for x, base, unknots in ((X0, g_element, 0), (X1, h_element, 1)):
-        for n in range(1, 31):
+        for n in (*range(1, 31), 60, 120, 250):
             d = simplify(direct_link(conjugate(base(n), x))).diagram
             oracle = kauffman_bracket(two_bridge_diagram(ConwayCode([1] * (2 * n))), max_states=0)
             assert equivalent_up_to_units(kauffman_bracket(d, max_states=0), oracle * DELTA**unknots, 0)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,11 @@ import pytest
 import thomplink
 from thomplink import cli
 from thomplink.cli import main
-from thomplink.conway import MAX_CODE_CROSSINGS
-from thomplink.pairs import TreePair, reduce_pair
+from thomplink.conway import MAX_CODE_CROSSINGS, two_bridge_diagram
+from thomplink.links import LinkDiagram, direct_link, disjoint_union
+from thomplink.pairs import TreePair, make_generator, reduce_pair
+from thomplink.svg import tait_graph_svg
+from thomplink.tait import tait_graph
 from thomplink.trees import random_tree
 
 
@@ -79,14 +83,21 @@ def test_link_formats(capsys):
     assert data["crossings"] == [] and data["free_loops"] == 1
     code, out, _ = run(capsys, "link", "x0", "--format", "svg")
     assert out.startswith("<svg")
-    code, out, _ = run(capsys, "link", "x0", "--route", "tait", "--format", "svg")
+    code, out, _ = run(capsys, "link", "x0", "--format", "tait-svg")
     assert out.startswith("<svg")
+
+
+def test_tait_svg_draws_the_tait_graph(capsys):
+    code, out, _ = run(capsys, "link", "x1", "--format", "tait-svg")
+    assert code == 0 and out == tait_graph_svg(tait_graph(make_generator(1))) + "\n"
+    code, out, err = run(capsys, "link", "x1", "--simplify", "--format", "tait-svg")
+    assert code == 1 and out == "" and "unsimplified" in err
 
 
 def test_bracket_command(capsys):
     code, out, _ = run(capsys, "bracket", "x0")
     assert code == 0 and out.strip() == "1*A^0"
-    code, out, _ = run(capsys, "bracket", "x0", "--route", "tait", "--format", "json")
+    code, out, _ = run(capsys, "bracket", "x0", "--format", "json")
     assert json.loads(out)["bracket"] == "1*A^0"
 
 
@@ -101,6 +112,40 @@ def test_experiments(capsys):
     code, out, _ = run(capsys, "experiment", "thm2", "--gen", "x1", "--n", "2", "--format", "json")
     rows = json.loads(out)["rows"]
     assert all(r["conjugate_to_generator"] and r["link_matches"] for r in rows)
+
+
+def _with_free_loop(d):
+    return disjoint_union(d, LinkDiagram((), 1))
+
+
+def test_an_extra_unknot_fails_the_theorem_checks(capsys, monkeypatch):
+    # both theorem checks allow no split unknot: a 4-plat oracle times
+    # DELTA matches no x0 row, and a wrapped row with one more free loop
+    # is not the same link as h1
+    monkeypatch.setattr(cli, "two_bridge_diagram", lambda code: _with_free_loop(two_bridge_diagram(code)))
+    code, out, _ = run(capsys, "experiment", "thm2", "--gen", "x0", "--n", "5", "--format", "json")
+    assert code == 0 and not any(r["link_matches"] for r in json.loads(out)["rows"])
+    monkeypatch.undo()
+    built = []
+
+    def loop_after_h1(p):
+        built.append(p)
+        return direct_link(p) if len(built) == 1 else _with_free_loop(direct_link(p))
+
+    monkeypatch.setattr(cli, "direct_link", loop_after_h1)
+    code, out, _ = run(capsys, "experiment", "thm1", "--n", "3", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["codes_distinct"] and not data["same_link"]
+
+
+def test_readme_cli_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) >= 9 and all(argv[0] == "thomplink" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        capsys.readouterr()
 
 
 def test_oracle_two_bridge(capsys):
@@ -137,6 +182,8 @@ def test_domain_errors_exit_1(capsys):
         (["experiment", "thm1", "--n", "25000"], 1),  # 5 + 4 * 24999 leaves
         (["experiment", "thm2", "--gen", "x0", "--n", "99999999999999999999"], 1),
         (["experiment", "thm2", "--gen", "x1", "--n", "49999"], 1),  # past THM2_MAX_N
+        (["link", "x1", "--route", "tait"], 2),  # no such option
+        (["experiment", "thm2", "--gen", "x0", "--max-states", "5"], 2),  # no such option
     ],
 )
 def test_bad_input_fails_without_traceback(argv, status):
@@ -183,7 +230,7 @@ def test_thm2_bound_is_on_n(capsys, monkeypatch):
     [
         ["element", "parse", "x5000"],
         ["link", "x5000", "--format", "json"],
-        ["link", "x2000", "--route", "tait", "--format", "json"],
+        ["link", "x1200", "--format", "tait-svg"],
         ["element", "parse", "x1200", "--format", "svg"],
         ["link", "x1200", "--format", "svg"],
         ["conjugate", "x1500", "x2"],
@@ -267,8 +314,7 @@ def _fuzz_argv(rng):
         ["element", rng.choice(["parse", "reduce", "inv", "word"]), _element(rng, 20, 1000)] + fmt,
         ["element", "mul", _element(rng, 20, 1000), _element(rng, 20, 1000)],
         ["conjugate", _element(rng, 20, 1000), _element(rng, 20, 1000)] + fmt,
-        ["link", _element(rng, 4, 3), "--route", _option(rng, ["tait", "direct"], "x"),
-         "--format", _option(rng, ["text", "json", "pd", "svg"], "")],
+        ["link", _element(rng, 4, 3), "--format", _option(rng, ["text", "json", "pd", "svg", "tait-svg"], "")],
         ["bracket", _element(rng, 4, 3), "--max-states", rng.choice(_SIZES + ["9" * 20])],
         ["experiment", "thm1", "--n", rng.choice(_SIZES), "--seed", _word(rng, 2, 1)] + fmt,
         ["experiment", "thm2", "--gen", _option(rng, ["x0", "x1"], "x2"), "--n", rng.choice(_SIZES)],

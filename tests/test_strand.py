@@ -26,7 +26,7 @@ from thomplink import (
     reduce_pair,
 )
 from thomplink import strand
-from thomplink.strand import _SLOTS, _format_code, annular_of, reduced_annular_of
+from thomplink.strand import _SLOTS, _format_code, annular_of
 from thomplink.trees import random_tree
 from util import (
     X0,
@@ -228,11 +228,11 @@ def test_closure_of_x0_and_regression():
 
 
 def test_x0_x1_codes_differ():
-    c0 = canonical_code(reduced_annular_of(X0))
-    c1 = canonical_code(reduced_annular_of(X1))
+    c0 = canonical_code(reduce_annular(annular_of(X0)))
+    c1 = canonical_code(reduce_annular(annular_of(X1)))
     assert c0 != c1
     # determinism across recomputation
-    assert c0 == canonical_code(reduced_annular_of(X0))
+    assert c0 == canonical_code(reduce_annular(annular_of(X0)))
 
 
 def test_concatenate_respects_multiplication():
@@ -250,7 +250,7 @@ def test_winding_condition_fuzz():
     for _ in range(100):
         g = random_element(rng, 10)
         assert winding_condition_holds(annular_of(g))
-        assert winding_condition_holds(reduced_annular_of(g))
+        assert winding_condition_holds(reduce_annular(annular_of(g)))
 
 
 def test_vertex_and_edge_numbering_is_pinned():
@@ -312,7 +312,7 @@ def test_reduction_order_confluence():
     rng = Random(55)
     for _ in range(25):
         g = random_element(rng, 8)
-        base = canonical_code(reduced_annular_of(g))
+        base = canonical_code(reduce_annular(annular_of(g)))
         for j in range(6):
             assert canonical_code(rescan_reduced(annular_of(g), Random(900 + j))) == base
 
@@ -321,14 +321,14 @@ def test_reduction_ids_depend_on_move_order():
     # the code never depends on the move order, but the ids of the surviving
     # vertices and edges may: some orders export another numbering
     g = from_word("x0^2 x3^2 x5^-1 x1^-2")
-    base = reduced_annular_of(g)
+    base = reduce_annular(annular_of(g))
     others = [rescan_reduced(annular_of(g), Random(i)) for i in range(8)]
     assert {canonical_code(r) for r in others} == {canonical_code(base)}
     assert any(r.to_json() != base.to_json() for r in others)
 
 
 def test_reduced_input_unchanged():
-    r = reduced_annular_of(X0)
+    r = reduce_annular(annular_of(X0))
     again = reduce_annular(r)
     assert canonical_code(again) == canonical_code(r)
 
@@ -337,7 +337,7 @@ def test_component_count_distinguishes():
     rng = Random(56)
     for _ in range(40):
         g, h = random_element(rng, 8), random_element(rng, 8)
-        rg, rh = reduced_annular_of(g), reduced_annular_of(h)
+        rg, rh = reduce_annular(annular_of(g)), reduce_annular(annular_of(h))
         if annular_component_count(rg) != annular_component_count(rh):
             assert canonical_code(rg) != canonical_code(rh)
 
@@ -358,8 +358,8 @@ def test_loop_position_distinguishes():
 
     p1 = from_word("x1^-1")
     p2 = from_word("x0 x1 x0^-2")
-    c1 = canonical_code(reduced_annular_of(p1))
-    c2 = canonical_code(reduced_annular_of(p2))
+    c1 = canonical_code(reduce_annular(annular_of(p1)))
+    c2 = canonical_code(reduce_annular(annular_of(p2)))
     assert c1 != c2
     assert not are_conjugate(p1, p2)
 
@@ -380,7 +380,7 @@ def test_code_collisions_respect_abelianization():
     by_code = {}
     for _ in range(200):
         g = random_element(rng, 6)
-        code = canonical_code(reduced_annular_of(g))
+        code = canonical_code(reduce_annular(annular_of(g)))
         if code in by_code:
             assert ab(by_code[code]) == ab(g), code
         else:
@@ -388,7 +388,7 @@ def test_code_collisions_respect_abelianization():
 
 
 def test_json_export():
-    data = json.loads(reduced_annular_of(X0).to_json())
+    data = json.loads(reduce_annular(annular_of(X0)).to_json())
     assert data["schema"] == 1
     assert data["free_loops"] == 0
     kinds = sorted(v["kind"] for v in data["vertices"])
@@ -437,7 +437,7 @@ def test_reduction_and_codes_are_pinned():
     digest = hashlib.sha256()
     for i in range(200):
         g = random_element(rng, 60)
-        for r in (reduced_annular_of(g), rescan_reduced(annular_of(g), Random(i))):
+        for r in (reduce_annular(annular_of(g)), rescan_reduced(annular_of(g), Random(i))):
             digest.update(r.to_json().encode())
             digest.update(canonical_code(r).encode())
     assert digest.hexdigest() == "b69e919c008455624f8479fa2beaf6b05757b170f75b8524f2e2b3c276a0ea0c"
@@ -474,7 +474,7 @@ def test_symmetric_closures_cost_two_walks(monkeypatch):
 
     monkeypatch.setattr(strand, "_Walk", CountingWalk)
     for word in ("x0^400", "x1^300"):
-        net = reduced_annular_of(from_word(word))._net
+        net = reduce_annular(annular_of(from_word(word)))._net
         vertices = len(net.kind) - net.kind.count(-1)
         edges = len(net.tail) - net.tail.count(-1)
         walks.clear()
@@ -489,10 +489,10 @@ def radial_corpus():
     """Wrapped elements, whose component count grows with n, the reduced
     Theorem 2 conjugates, unreduced closures, and nets reduced by types I
     and II only, so that runs of free loops are still there for type III."""
-    nets = [reduced_annular_of(h)._net for h in h_sequence(element_a(), 60)]
+    nets = [reduce_annular(annular_of(h))._net for h in h_sequence(element_a(), 60)]
     for n in range(1, 13):
-        nets.append(reduced_annular_of(conjugate(g_element(n), X0))._net)
-        nets.append(reduced_annular_of(conjugate(h_element(n), X1))._net)
+        nets.append(reduce_annular(annular_of(conjugate(g_element(n), X0)))._net)
+        nets.append(reduce_annular(annular_of(conjugate(h_element(n), X1)))._net)
     rng = Random(62)
     loops = 0
     while loops < 300:
