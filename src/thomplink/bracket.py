@@ -257,9 +257,7 @@ def _unit_equal(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
     return p == moved or p == -moved
 
 
-def equivalent_up_to_units(
-    p: LaurentPolynomial, q: LaurentPolynomial, max_unknots: int = 4
-) -> bool:
+def equivalent_up_to_units(p: LaurentPolynomial, q: LaurentPolynomial, max_unknots: int) -> bool:
     """Necessary condition for two bracket values to describe one link up to
     trivial components: p * delta^m matches q (or vice versa) up to a sign
     and a power A^(3k), for some 0 <= m <= max_unknots."""

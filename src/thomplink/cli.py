@@ -173,7 +173,7 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_experiment_thm1(args) -> int:
-    seed = _parse_element(args.seed) if args.seed else element_a()
+    seed = _parse_element(args.seed) if args.seed is not None else element_a()
     # each wrap adds four leaves to the reduced seed, so the rows hold
     # n * seed + 4 * (0 + 1 + ... + (n - 1)) leaves in all
     n, seed_leaves = args.n, reduce_pair(seed).leaf_count

@@ -21,8 +21,9 @@ from .links import LinkDiagram
 __all__ = ["MAX_CODE_CROSSINGS", "ConwayCode", "continued_fraction", "two_bridge_diagram"]
 
 # The most crossings a parsed code may have.  The bracket of one twist region
-# of c crossings costs about c^2 additions on integers of about 0.7c bits: at
-# this bound it takes about 0.15 s.
+# of c crossings costs about c^2 additions on integers of about 0.7c bits.  At
+# this bound the bracket of C(1^1000) takes about 0.04-0.06 s and that of
+# C(1000) about 0.02-0.04 s (2-core VM, Python 3.11).
 MAX_CODE_CROSSINGS = 1_000
 
 

@@ -16,6 +16,11 @@ Three reductions apply in the annulus:
       the merge's inputs to the split's outputs in order;
   III two radially adjacent free loops merge into one.
 
+``_Net.reduce`` alone finds and applies them: types I and II from two
+heaps of live candidates, then type III in its walk along the cut, and it
+returns the number of moves of each type.  The test suite keeps a
+step-wise reference that rescans the whole net after every move.
+
 The unique reduced form is a complete conjugacy invariant, as an embedded
 diagram: the abstract graph alone is not enough (non-conjugate elements
 can share it), so the embedding is tracked exactly.  Every strand flows
@@ -111,51 +116,11 @@ class _Net:
         out.token_count = self.token_count
         return out
 
-    # -- reduction moves ----------------------------------------------------
+    # -- reduction ------------------------------------------------------------
 
-    def bigon_moves(self) -> list[int]:
-        """The splits whose outputs feed one merge in order, bounding a
-        disk (the parallel strands cross the cut equally often).  The head
-        of output R is one dart past that of output L only at a merge's
-        inputs L and R, since only a merge takes edges in at two
-        neighbouring slots.  ``reduce`` pops and pushes by this test."""
-        kind, att, head, toks = self.kind, self.att, self.head, self.toks
-        return [
-            v for v, k in enumerate(kind)
-            if k == SPLIT
-            and head[att[3 * v + 2]] == head[att[3 * v + 1]] + 1
-            and len(toks[att[3 * v + 1]]) == len(toks[att[3 * v + 2]])
-        ]
-
-    def pass_moves(self) -> list[int]:
-        """The edges that run from a merge into a split.  ``reduce`` pops
-        and pushes by this test."""
-        kind, head = self.kind, self.head
-        return [
-            e for e, t in enumerate(self.tail) if t >= 0 and kind[t // 3] == MERGE and kind[head[e] // 3] == SPLIT
-        ]
-
-    def parallel_loops(self) -> set[int]:
-        """The tokens of the free loops that type III drops: each one whose
-        radial predecessor is a free loop too.  A free loop separates the
-        annulus, so no component has cut crossings on both sides of it, and
-        the radial predecessor of a loop is a loop exactly when its
-        predecessor on the cut is."""
-        if len(self.loop_tokens) < 2:
-            return set()
-        owners = self.cut_owners()
-        return {t for t, a, b in zip(self.cut_order[1:], owners, owners[1:]) if a < 0 and b < 0}
-
-    def merge_parallel_loops(self) -> None:
-        """Type III: collapse runs of radially adjacent free loops."""
-        drop = self.parallel_loops()
-        if drop:
-            self.loop_tokens = [t for t in self.loop_tokens if t not in drop]
-            self.cut_order = [t for t in self.cut_order if t not in drop]
-
-    def reduce(self) -> None:
+    def reduce(self) -> tuple[int, int, int]:
         """Apply the smallest type I move, else the smallest type II, until
-        none fits.
+        none fits, then type III; return the number of moves of each type.
 
         The two lists are lazy min-heaps, and every move that exists is in
         its heap.  A move changes only the edges it splices, and only those
@@ -168,7 +133,9 @@ class _Net:
         its tokens in constant time.  A move removes a split and a merge:
         each edge into the pair runs on through the corridor's tokens and
         takes the far end of the edge out of it, which is dropped, and a
-        chain that closes on itself becomes a free loop.
+        chain that closes on itself becomes a free loop.  Type III drops
+        the free loops that follow a free loop in the walk along the cut
+        that rebuilds ``cut_order``.
         """
         kind, att, tail, head, toks = self.kind, self.att, self.tail, self.head, self.toks
         after = [-1] * self.token_count
@@ -178,15 +145,28 @@ class _Net:
             before[t] = a
             after[t] = b
         first = ends[1]
-        bigons, passes = self.bigon_moves(), self.pass_moves()
+        # Type I: a split whose outputs feed one merge in order, bounding a
+        # disk (the parallel strands cross the cut equally often).  The head
+        # of output R is one dart past that of output L only at a merge's
+        # inputs L and R, since only a merge takes edges in at two
+        # neighbouring slots.  Type II: an edge from a merge into a split.
+        bigons = [
+            v for v, k in enumerate(kind)
+            if k == SPLIT
+            and head[att[3 * v + 2]] == head[att[3 * v + 1]] + 1
+            and len(toks[att[3 * v + 1]]) == len(toks[att[3 * v + 2]])
+        ]
+        passes = [e for e, t in enumerate(tail) if t >= 0 and kind[t // 3] == MERGE and kind[head[e] // 3] == SPLIT]
+        bigon_count = pass_count = 0
         while bigons or passes:
             if bigons:
                 v = heappop(bigons)
                 s = 3 * v
                 el, er = att[s + 1], att[s + 2]
-                # the test of bigon_moves, which says why it is enough
+                # the tests of the scans above, at the popped candidate
                 if not (kind[v] == SPLIT and head[er] == head[el] + 1 and len(toks[el]) == len(toks[er])):
                     continue
+                bigon_count += 1
                 m = head[el]  # the merge's slot L is 0 and its slot R is 1
                 for tl, tr in zip(toks[el], toks[er]):
                     # the left strand of the bigon is the outer one at every
@@ -203,9 +183,9 @@ class _Net:
             else:
                 e = heappop(passes)
                 m, s = tail[e], head[e]
-                # the test of pass_moves
                 if not (m >= 0 and kind[m // 3] == MERGE and kind[s // 3] == SPLIT):
                     continue
+                pass_count += 1
                 m -= 2  # from the merge's slot out to its slot L
                 # the two replacement strands run in parallel where the edge
                 # was; the left one is outer at every cut crossing
@@ -245,8 +225,8 @@ class _Net:
                     att[end] = ein
             kind[s // 3] = kind[m // 3] = -1
             att[s : s + 3] = att[m : m + 3] = (-1, -1, -1)
-            # the tests of pass_moves and bigon_moves at the spliced edges:
-            # the tail of a pass is a merge, of a bigon a split
+            # the tests of type II and type I at the spliced edges: the
+            # tail of a pass is a merge, of a bigon a split
             for e, _, _ in joins:
                 t = tail[e]
                 if t < 0:
@@ -258,11 +238,23 @@ class _Net:
                 el, er = att[t - t % 3 + 1], att[t - t % 3 + 2]
                 if head[er] == head[el] + 1 and len(toks[el]) == len(toks[er]):
                     heappush(bigons, t // 3)
+        # Type III: a free loop separates the annulus, so no component has
+        # cut crossings on both sides of it, and the radial predecessor of a
+        # loop is a loop exactly when its predecessor on the cut is.
         self.cut_order = order = []
+        loops = set(self.loop_tokens)
+        last = -1
         while first >= 0:
-            order.append(first)
+            if first in loops and last in loops:
+                loops.discard(first)
+            else:
+                order.append(first)
+                last = first
             first = after[first]
         self.token_count = len(after)
+        loop_count = len(self.loop_tokens) - len(loops)
+        self.loop_tokens = [t for t in self.loop_tokens if t in loops]
+        return bigon_count, pass_count, loop_count
 
     # -- embedding: faces and radial nesting --------------------------------
 
@@ -579,8 +571,7 @@ class AnnularStrandDiagram:
 
     @property
     def is_reduced(self) -> bool:
-        net = self._net
-        return not (net.bigon_moves() or net.pass_moves() or net.parallel_loops())
+        return not any(self._net.copy().reduce())
 
     def to_json(self) -> str:
         net = self._net
@@ -622,7 +613,6 @@ def reduce_annular(a: AnnularStrandDiagram) -> AnnularStrandDiagram:
     its vertex and edge ids, is independent of the move order (fuzz-tested)."""
     net = a._net.copy()
     net.reduce()
-    net.merge_parallel_loops()
     return AnnularStrandDiagram(net)
 
 

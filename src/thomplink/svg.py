@@ -99,7 +99,9 @@ def tait_graph_svg(t: TaitGraph) -> str:
 
 
 def direct_link_svg(p: TreePair) -> str:
-    """Tree diagram closure with connecting edges; understrand gaps at nodes."""
+    """The source tree above and the target tree below, the two nodes at each
+    gap joined by a curve and the roots by one around the left; strands are
+    drawn whole, with no crossing marked."""
     body: list[str] = []
     n = p.leaf_count
     if n == 1:

@@ -211,6 +211,15 @@ def test_thm1_budget_is_the_leaf_sum(capsys, monkeypatch):
     assert code == 1 and out == "" and "44 leaves" in err
 
 
+def test_thm1_empty_seed_is_the_identity(capsys):
+    # the empty word is how `element word` prints the identity
+    empty = run(capsys, "experiment", "thm1", "--n", "3", "--seed", "", "--format", "json")
+    spelled = run(capsys, "experiment", "thm1", "--n", "3", "--seed", "x0 x0^-1", "--format", "json")
+    assert empty == spelled and empty[0] == 0
+    data = json.loads(empty[1])
+    assert data["seed_word"] == "" and data["rows"][0]["leaves"] == 1
+
+
 def test_thm2_refuses_past_its_bound():
     # every row is a fixed family, so the run's work depends on n alone
     proc = run_child(["experiment", "thm2", "--gen", "x0", "--n", "49999"], text=True, timeout=30)

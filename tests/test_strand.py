@@ -31,9 +31,14 @@ from thomplink.trees import random_tree
 from util import (
     X0,
     X1,
+    bigon_moves,
     component_edges,
     concatenate,
     face_orbits,
+    merge_parallel_loops,
+    parallel_loops,
+    pass_moves,
+    rescan_moves,
     rescan_reduced,
     square_of,
     winding_condition_holds,
@@ -404,7 +409,7 @@ def test_cut_holds_live_edges_and_loops():
     for _ in range(300):
         a = annular_of(random_element(rng, 30))
         partial = a._net.copy()
-        partial.reduce()
+        rescan_moves(partial)
         for net in (a._net, partial, reduce_annular(a)._net):
             live = [t for eid, tokens in enumerate(net.toks) if net.tail[eid] >= 0 for t in tokens]
             assert sorted(net.cut_order) == sorted(live + net.loop_tokens)
@@ -497,7 +502,7 @@ def radial_corpus():
     loops = 0
     while loops < 300:
         net = annular_of(random_element(rng, 30))._net
-        net.reduce()
+        rescan_moves(net)
         if net.loop_tokens:
             nets.append(net)
             loops += 1
@@ -554,21 +559,24 @@ def test_cut_faces_match_whole_orbits(monkeypatch):
 def test_type_three_drops_loops_after_loops():
     # nets reduced by types I and II only, with two free loops or more:
     # type III drops exactly the loops whose radial predecessor, by the
-    # whole-cut reference, is a free loop
+    # whole-cut reference, is a free loop, and reduce counts them
     rng = Random(62)
     merged = kept = 0
     while merged + kept < 1000:
         net = annular_of(random_element(rng, 30))._net
-        net.reduce()
+        rescan_moves(net)
         if len(net.loop_tokens) < 2:
             continue
         items = reference_radial_items(net, face_orbits(net)[0])
         want = {b[1] for a, b in zip(items, items[1:]) if a[0] == b[0] == "loop"}
         a = AnnularStrandDiagram(net)
         assert a.is_reduced == (not want)
+        fast = net.copy()
+        assert fast.reduce() == (0, 0, len(want))
         before = set(net.loop_tokens)
-        net.merge_parallel_loops()
+        merge_parallel_loops(net)
         assert before - set(net.loop_tokens) == want
+        assert (fast.cut_order, sorted(fast.loop_tokens)) == (net.cut_order, sorted(net.loop_tokens))
         assert set(net.cut_order) >= set(net.loop_tokens) and not set(net.cut_order) & want
         assert a.is_reduced
         merged += bool(want)
@@ -584,9 +592,9 @@ def test_reduction_queues_only_live_moves(monkeypatch):
         state = sys._getframe(1).f_locals
         net = state["self"]
         if heap is state["bigons"]:
-            assert item in net.bigon_moves()
+            assert item in bigon_moves(net)
         else:
-            assert heap is state["passes"] and item in net.pass_moves()
+            assert heap is state["passes"] and item in pass_moves(net)
         pushes.append(item)
         heappush(heap, item)
 
@@ -613,6 +621,45 @@ def test_reduction_pops_at_1920_crossings(monkeypatch):
     moves = a.split_count - r.split_count
     assert moves == a.merge_count - r.merge_count == 720
     assert len(pops) <= moves + 1
+
+
+def test_reduce_counts_its_moves():
+    # each type I or II move removes one split and one merge; the closure
+    # of the element whose link has 1,920 crossings reduces by passes alone
+    a = annular_of(h_sequence(element_a(), 240)[-1])
+    net = a._net.copy()
+    assert net.reduce() == (0, 720, 0)
+    r = AnnularStrandDiagram(net)
+    assert a.split_count - r.split_count == a.merge_count - r.merge_count == 720
+    rng = Random(65)
+    totals = [0, 0, 0]
+    for _ in range(300):
+        a = annular_of(random_element(rng, 40))
+        net = a._net.copy()
+        counts = bigons, passes, loops = net.reduce()
+        r = AnnularStrandDiagram(net)
+        assert bigons + passes == a.split_count - r.split_count == a.merge_count - r.merge_count
+        step = a._net.copy()
+        rescan_moves(step)
+        assert loops == len(parallel_loops(step))
+        totals = [t + c for t, c in zip(totals, counts)]
+    assert min(totals) > 0
+
+
+def test_is_reduced_matches_whole_scans():
+    # random closures and their type I/II reductions, which keep runs of
+    # free loops: is_reduced is "no move by the reference scans"
+    rng = Random(66)
+    reduced = 0
+    for _ in range(300):
+        net = annular_of(random_element(rng, 30))._net
+        step = net.copy()
+        rescan_moves(step)
+        for n in (net, step):
+            want = not (bigon_moves(n) or pass_moves(n) or parallel_loops(n))
+            assert AnnularStrandDiagram(n).is_reduced == want
+            reduced += want
+    assert 100 <= reduced <= 500
 
 
 def test_conjugacy_at_600_leaves():

@@ -398,14 +398,49 @@ def apply_pass(net, eid: int, cut: Cut) -> list[int]:
     return resolve_connectors(net, [left, right])
 
 
-def rescan_reduced(a, rng=None):
-    """Reduction that rescans every vertex and edge for moves after each one;
-    with ``rng``, it applies a random one of the sorted type I moves followed
-    by the sorted type II moves."""
-    net = a._net.copy()
+def bigon_moves(net) -> list[int]:
+    """The type I moves of the whole net: the splits whose outputs feed one
+    merge in order, bounding a disk (the parallel strands cross the cut
+    equally often)."""
+    kind, att, head, toks = net.kind, net.att, net.head, net.toks
+    return [
+        v for v, k in enumerate(kind)
+        if k == SPLIT
+        and head[att[3 * v + 2]] == head[att[3 * v + 1]] + 1
+        and len(toks[att[3 * v + 1]]) == len(toks[att[3 * v + 2]])
+    ]
+
+
+def pass_moves(net) -> list[int]:
+    """The type II moves of the whole net: the edges that run from a merge
+    into a split."""
+    kind, head = net.kind, net.head
+    return [e for e, t in enumerate(net.tail) if t >= 0 and kind[t // 3] == MERGE and kind[head[e] // 3] == SPLIT]
+
+
+def parallel_loops(net) -> set[int]:
+    """The tokens of the free loops that type III drops: each one whose
+    radial predecessor, the same as its predecessor on the cut, is a free
+    loop too."""
+    owners = net.cut_owners()
+    return {t for t, a, b in zip(net.cut_order[1:], owners, owners[1:]) if a < 0 and b < 0}
+
+
+def merge_parallel_loops(net) -> None:
+    """Type III: collapse runs of radially adjacent free loops."""
+    drop = parallel_loops(net)
+    net.loop_tokens = [t for t in net.loop_tokens if t not in drop]
+    net.cut_order = [t for t in net.cut_order if t not in drop]
+
+
+def rescan_moves(net, rng=None) -> None:
+    """Types I and II only, in place, rescanning every vertex and edge for
+    moves after each one; with ``rng``, it applies a random one of the
+    sorted type I moves followed by the sorted type II moves.  Runs of free
+    loops are left for type III."""
     cut = Cut(net.cut_order)
     while True:
-        moves = [("I", v) for v in net.bigon_moves()] + [("II", e) for e in net.pass_moves()]
+        moves = [("I", v) for v in bigon_moves(net)] + [("II", e) for e in pass_moves(net)]
         if not moves:
             break
         kind, key = rng.choice(moves) if rng is not None else moves[0]
@@ -414,7 +449,13 @@ def rescan_reduced(a, rng=None):
         else:
             apply_pass(net, key, cut)
     net.cut_order = cut.tokens()
-    net.merge_parallel_loops()
+
+
+def rescan_reduced(a, rng=None):
+    """Reduction by :func:`rescan_moves`, then type III."""
+    net = a._net.copy()
+    rescan_moves(net, rng)
+    merge_parallel_loops(net)
     return AnnularStrandDiagram(net)
 
 
