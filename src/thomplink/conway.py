@@ -42,6 +42,8 @@ class ConwayCode:
 
     @classmethod
     def parse(cls, text: str) -> "ConwayCode":
+        if not all(chunk.strip() for chunk in text.split(",")):
+            raise ValueError(f"empty entry in the code: {text[:40]!r}")
         parts = text.replace(",", " ").split()
         if not all(part.isascii() and part.isdigit() for part in parts):
             raise ValueError(f"twist counts are written with the digits 0-9: {text[:40]!r}")

@@ -358,19 +358,17 @@ class _Net:
     def _min_signature(self, starts: list[int], marks: tuple[list, list]) -> tuple:
         """Least signature over ``starts``.
 
-        Only the starts with the least first entry get a walk, and a lone
-        one is the winner.  Otherwise the walks advance in lockstep, one
-        number of their vertex entries at a time, and only those holding
-        the least number go on, so a start costs about the length of its
-        common prefix with the winner.  Two walks with equal signatures
-        pair their edge orders into an automorphism of the marked, embedded
-        diagram, under which every signature is invariant: at vertex
-        entries 1, 2, 4, ... the first two walks are compared and the
-        greater is dropped at the first difference; when every vertex
-        entry ties, windings and marks decide, and on a whole tie the
-        paired edges are joined in a union-find and each class keeps one
-        walk.  Symmetric diagrams such as the annular closure of x0^n thus
-        cost a few whole walks, not one per start.
+        Only the starts with the least first entry get a walk.  The first
+        of them is the running best, and each other one is compared with
+        it one vertex entry at a time, the smaller walk becoming the best,
+        so a start costs about the length of its common prefix with the
+        best.  Two walks with equal signatures pair their edge orders into
+        an automorphism of the marked, embedded diagram, under which every
+        signature is invariant: when every vertex entry ties, windings and
+        marks decide, and on a whole tie the paired edges are joined in a
+        union-find, and a start in the best start's class gets no walk.
+        Symmetric diagrams such as the annular closure of x0^n thus cost
+        two whole walks, not one per start.
         """
         # A walk's first entry is that of the head of its start edge e: its
         # kind, then the numbers of its three slot edges, e being 0 and the
@@ -389,51 +387,38 @@ class _Net:
                 tied.append(e)
             elif least is None or first < least:
                 least, tied = first, [e]
-        if len(tied) == 1:
-            return _Walk(self, tied[0]).signature(marks)
 
-        parent = {e: e for e in starts}
+        parent: dict[int, int] = {}  # roots are absent
 
         def find(e: int) -> int:
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
+            while e in parent:
+                p = parent[e]
+                parent[e] = parent.get(p, p)
+                e = p
             return e
 
-        def settle(walks: list[_Walk], k: int) -> list[_Walk]:
-            """Settle the first two walks, whose entries before k tie."""
-            first, second = walks[0], walks[1]
-            a, b = first.entry(k), second.entry(k)
-            while a == b and a is not None:
-                k += 1
-                a, b = first.entry(k), second.entry(k)
-            if a is None:  # one component: both walks end together
-                a, b = first.signature(marks), second.signature(marks)
-            if a != b:
-                return [first if a < b else second] + walks[2:]
-            for x, y in zip(first.edge_order, second.edge_order):
-                parent[find(x)] = find(y)
-            classes = set()
-            out = []
-            for walk in walks:
-                root = find(walk.edge_order[0])
-                if root not in classes:
-                    classes.add(root)
-                    out.append(walk)
-            return out
-
-        k = 4  # the first number of vertex entry 1
-        walks = settle([_Walk(self, start) for start in tied], k)
-        while len(walks) > 1 and walks[0].entry(k) is not None:
-            entries = [walk.entry(k) for walk in walks]
-            least = min(entries)
-            walks = [walk for walk, e in zip(walks, entries) if e == least]
-            k += 1
-            if k & (k - 1) == 0 and len(walks) > 1:
-                walks = settle(walks, k)
-        while len(walks) > 1:  # equal vertex entries: windings and marks decide
-            walks = settle(walks, k)
-        return walks[0].signature(marks)
+        best = _Walk(self, tied[0])
+        for start in tied[1:]:
+            if find(start) == find(best.edge_order[0]):
+                continue
+            walk = _Walk(self, start)
+            k = 4  # vertex entry 0 ties: it is the first entry
+            while walk.entry(k) is not None:
+                best.entry(k)
+                a, b = walk.verts[k : k + 4], best.verts[k : k + 4]
+                if a != b:
+                    break
+                k += 4
+            else:  # equal vertex entries: windings and marks decide
+                a, b = walk.signature(marks), best.signature(marks)
+            if a < b:
+                best = walk
+            elif a == b:
+                for x, y in zip(walk.edge_order, best.edge_order):
+                    x, y = find(x), find(y)
+                    if x != y:
+                        parent[x] = y
+        return best.signature(marks)
 
     def canonical_form(self) -> tuple:
         """Per item, innermost first, "O" for a free loop and the least

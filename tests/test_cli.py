@@ -184,6 +184,7 @@ def test_domain_errors_exit_1(capsys):
         (["experiment", "thm2", "--gen", "x1", "--n", "49999"], 1),  # past THM2_MAX_N
         (["link", "x1", "--route", "tait"], 2),  # no such option
         (["experiment", "thm2", "--gen", "x0", "--max-states", "5"], 2),  # no such option
+        (["oracle", "two-bridge", "1,,1"], 1),  # an empty entry
     ],
 )
 def test_bad_input_fails_without_traceback(argv, status):

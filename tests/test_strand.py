@@ -426,6 +426,13 @@ def test_fast_engine_matches_exhaustive_references():
         elements += [from_word(f"x0^{n}"), from_word(f"x1^{n}"), from_word("x0 x1 " * n)]
         # near ties: one factor breaks the symmetry of a power
         elements += [from_word(f"x0^{n} x1"), from_word(f"x1^{n} x0^-1"), from_word("x0 x1 " * n + "x2")]
+    # powers, whose automorphisms need not be generated by the first whole
+    # tie found, and a 2-fold symmetric family that is near-tied
+    rng = Random(59)
+    for g in [random_element(rng, 16) for _ in range(30)]:
+        square = multiply(g, g)
+        elements += [square, multiply(square, g), multiply(square, square)]
+    elements += [from_word(f"x0^{m} x1 x0^{m} x1") for m in range(-9, 10) if m]
     for i, g in enumerate(elements):
         a = annular_of(g)
         r = reduce_annular(a)
@@ -488,6 +495,7 @@ def test_symmetric_closures_cost_two_walks(monkeypatch):
         # four numbers to a vertex
         entries = edges + sum(len(w.verts) // 4 for w in walks)
         assert entries <= edges + 2 * vertices, word
+        assert len(walks) <= 2, word
 
 
 def radial_corpus():
