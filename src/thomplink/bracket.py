@@ -31,7 +31,11 @@ once, and again when one of its arcs changes; a 2-bridge diagram keeps no
 crossing.  The rest are contracted one at a time, the one with the most arcs
 open (the earliest on ties) next.  A state is the matching of open arcs that
 the smoothings so far make, and carries their weights times delta per closed
-loop; equal matchings merge (Bar-Natan's local contraction).
+loop; equal matchings merge (Bar-Natan's local contraction).  Its terms
+share a parity (x's and y's do, and delta's exponents are even), so a state
+is a list at stride 2.  Mod 4 a term is the y exponents' sum plus 2 per x
+smoothing and per closed loop, and two sets of smoothings can leave one
+matching of open arcs with unequal parities of that count, so not stride 4.
 
 Brackets of one link's diagrams differ by units -A^(+-3) and factors delta
 per split unknot; :func:`equivalent_up_to_units` compares them.
@@ -55,8 +59,9 @@ _ONE, _DELTA, _DELTA2 = (0, [1]), (-2, [-1, -1]), (-4, [1, 2, 1])
 _PLAIN, _KINKS = ((1, [1]), (-1, [1])), ((3, [-1]), (-3, [-1]))
 
 
-def _poly(*products):
-    """The sum of the products p * q of weights whose exponents agree mod 4."""
+def _poly(*products, step=4):
+    """The sum of the products p * q of polynomials (e, cs), each the sum of
+    cs[i] A^(e + step * i), whose exponents all agree mod ``step``."""
     rows = []  # (exponent, c, a): the longer factor a shifted, times c
     for (e, a), (f, b) in products:
         if len(a) < len(b):
@@ -64,7 +69,7 @@ def _poly(*products):
         for c in b:
             if c:
                 rows.append((e + f, c, a))
-            f += 4
+            f += step
     if not rows:
         return 0, []
     e0, c, a = rows.pop()
@@ -72,7 +77,7 @@ def _poly(*products):
         return e0, a if c == 1 else [c * x for x in a]
     out = a[:] if c == 1 else [c * x for x in a]
     for e, c, a in rows:
-        i = e - e0 >> 2
+        i = (e - e0) // step
         if i < 0:
             out[:0] = [0] * -i
             e0, i = e, 0
@@ -91,19 +96,19 @@ def _poly(*products):
     i = 0
     while out and not out[i]:
         i += 1
-    return e0 + 4 * i, out[i:]
+    return e0 + step * i, out[i:]
 
 
-def _terms(w) -> dict[int, int]:
-    e, cs = w
-    return {e + 4 * i: c for i, c in enumerate(cs) if c}
+def _spread(w):
+    """A weight at stride 2: its coefficients with zeros between them."""
+    return w[0], [c for x in w[1] for c in (x, 0)][:-1]
 
 
 def _smoothings(x, y):
-    """A crossing's two smoothings: the terms (exponent, coefficient) of its
-    weight times delta^k for the k <= 2 loops each closes, and its joins."""
+    """A crossing's two smoothings: at stride 2, its weight times delta^k
+    for the k <= 2 loops each closes, and its joins."""
     return tuple(
-        ([tuple(_terms(_poly((w, dk))).items()) for dk in (_ONE, _DELTA, _DELTA2)], joins)
+        ([_spread(_poly((w, dk))) for dk in (_ONE, _DELTA, _DELTA2)], joins)
         for w, joins in ((x, ((0, 1), (2, 3))), (y, ((0, 3), (1, 2))))
     )
 
@@ -189,9 +194,8 @@ def kauffman_bracket(d: LinkDiagram, max_states: int = DEFAULT_STATE_LIMIT) -> L
     heap = list(range(4 * n, 5 * n))
     # An open arc is named by its dart at the crossing still to be added.
     frontier: list[int] = []
-    # matching of the frontier arcs (a tuple aligned with it) -> its sum,
-    # as {exponent: coefficient}
-    states: dict[tuple[int, ...], dict[int, int]] = {(): _terms(factor)}
+    # matching of the frontier arcs (a tuple aligned with it) -> its sum
+    states: dict[tuple[int, ...], tuple] = {(): _spread(factor)}
     for step in range(n):
         # next: the crossing with the most open arcs, the earliest on ties
         while True:
@@ -220,30 +224,26 @@ def kauffman_bracket(d: LinkDiagram, max_states: int = DEFAULT_STATE_LIMIT) -> L
         # The last crossing closes at least one loop in every state; leaving
         # that loop out of the factor gives the normalization <U> = 1.
         last = step == n - 1
-        new_states: dict[tuple[int, ...], dict[int, int]] = {}
+        products: dict[tuple[int, ...], list] = {}  # matching -> (state, weight) pairs
         for key, poly in states.items():
-            items = poly.items()
             frontier_ends = dict(zip(frontier, key))
             frontier_ends.update(links)
-            for terms, ((s, t), (u, v)) in smoothings[ci]:
+            for weights, ((s, t), (u, v)) in smoothings[ci]:
                 ends = frontier_ends.copy()
                 closed = _join(ends, first + s, first + t)
                 closed += _join(ends, first + u, first + v)
                 out = tuple(map(ends.__getitem__, new_frontier))
-                target = new_states.get(out)
+                target = products.get(out)
                 if target is None:
-                    if len(new_states) == max_states:
+                    if len(products) == max_states:
                         raise StateLimitError(
                             f"bracket contraction needs more than the bound of {max_states} states"
                         )
-                    target = new_states[out] = {}
-                get = target.get
-                for shift, coefficient in terms[closed - last]:
-                    for e, c in items:
-                        e += shift
-                        target[e] = get(e, 0) + coefficient * c
-        states, frontier = new_states, new_frontier
-    return LaurentPolynomial(states[()])
+                    target = products[out] = []
+                target.append((poly, weights[closed - last]))
+        states, frontier = {k: _poly(*ps, step=2) for k, ps in products.items()}, new_frontier
+    e, cs = states[()]
+    return LaurentPolynomial({e + 2 * i: c for i, c in enumerate(cs)})
 
 
 def _unit_equal(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:

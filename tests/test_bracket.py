@@ -1,3 +1,4 @@
+import tracemalloc
 from random import Random
 
 import pytest
@@ -276,17 +277,45 @@ def test_two_bridge_diagrams_need_no_states():
             assert equivalent_up_to_units(kauffman_bracket(d, max_states=0), oracle * DELTA**unknots, 0)
 
 
+def wall_links(leaves: int, count: int):
+    """The first ``count`` links of the bracket wall sample: elements
+    ``random_element(Random(3), leaves)``, each through
+    ``simplify(direct_link(.))``."""
+    rng = Random(3)
+    for _ in range(count):
+        yield simplify(direct_link(random_element(rng, leaves))).diagram
+
+
 # Peak states of the 10 links of the bracket wall sample at 160 leaves.
 WALL_160_PEAKS = [37, 0, 62, 498, 0, 72, 13, 57, 66, 120]
+# Peak states of elements 0, 3, 7 and 9 of the sample at 320 leaves (51, 80,
+# 59 and 106 crossings), whose states hold up to 32-55 terms.
+WALL_320_PEAKS = {0: 294, 3: 280, 7: 209, 9: 7048}
 
 
 def test_random_links_at_160_leaves():
-    rng = Random(3)
-    for peak in WALL_160_PEAKS:
-        d = simplify(direct_link(random_element(rng, 160))).diagram
+    cases = list(zip(wall_links(160, 10), WALL_160_PEAKS))
+    at_320 = list(wall_links(320, 10))
+    cases += [(at_320[i], peak) for i, peak in WALL_320_PEAKS.items()]
+    for d, peak in cases:
         value, _ = rescan_bracket(d)
         assert kauffman_bracket(d) == value
         assert kauffman_bracket(d, max_states=peak) == value
         if peak:
             with pytest.raises(StateLimitError):
                 kauffman_bracket(d, max_states=peak - 1)
+
+
+def test_wall_link_memory():
+    # The fourth link at 160 leaves (95 crossings, 498 states at its peak).
+    # Its states' coefficient lists trace to 0.5-1.0 MiB, the first call in a
+    # process being the highest.  The bound was checked on Python 3.11 only.
+    d = list(wall_links(160, 4))[-1]
+    assert d.crossing_count == 95
+    tracemalloc.start()
+    try:
+        kauffman_bracket(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
